@@ -136,7 +136,7 @@ def classify(
     class need not be within ``delta`` of each other.
     """
     intervals = [as_interval(item) for item in items]
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise IntervalError(f"delta must be nonnegative, got {delta}")
     for i, iv in enumerate(intervals):
         if not iv.is_proper:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +33,7 @@ from .decisions import (
     report_to_dict,
 )
 from .errors import GutError
-from .intervals import DEFAULT_TOLERANCE, as_interval
+from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
     DECISION_SCHEMA,
@@ -150,9 +149,10 @@ def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
     violations = axiom_violations(atoms, assignment, mode, args.tolerance)
     sum_left = sum_right = None
     try:
-        intervals = [as_interval(assignment[a]) for a in atoms if a in assignment]
-        sum_left = math.fsum(iv.left for iv in intervals)
-        sum_right = math.fsum(iv.right for iv in intervals)
+        total = endpoint_sum(
+            as_interval(assignment[a]) for a in atoms if a in assignment
+        )
+        sum_left, sum_right = total.left, total.right
     except GutError:
         pass
     payload = {

@@ -32,6 +32,7 @@ from .intervals import (
     Relation,
     as_interval,
     compare,
+    endpoint_sum,
     gud,
 )
 
@@ -117,7 +118,7 @@ class DecisionProblem:
             problems.append(
                 f"unknown attitude {self.attitude!r}; expected one of {ATTITUDES}"
             )
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
         if problems:
             raise ValidationError(problems)
@@ -157,7 +158,7 @@ def geu(
     """Generalized expected utility of one payoff row.
 
     Endpoint sums ``[sum p_j * left_j, sum p_j * right_j]`` over the
-    status measures, via ``math.fsum``.
+    status measures, via :func:`~gutheory.intervals.endpoint_sum`.
     """
     measures = [n.gum if isinstance(n, NatureStatus) else as_interval(n) for n in natures]
     if len(payoffs) != len(measures):
@@ -167,10 +168,7 @@ def geu(
     bad = [p for p in payoffs if not math.isfinite(p) or p < 0.0]
     if bad:
         raise ValidationError([f"payoffs must be finite and nonnegative, got {bad}"])
-    return GUInterval(
-        math.fsum(p * m.left for p, m in zip(payoffs, measures)),
-        math.fsum(p * m.right for p, m in zip(payoffs, measures)),
-    )
+    return endpoint_sum(measures, payoffs)
 
 
 @dataclass(frozen=True)

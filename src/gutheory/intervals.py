@@ -5,8 +5,9 @@ attached to an event: ``left`` is the least degree of belief that the event
 occurs, ``right`` the greatest.  A classical probability is the degenerate
 case ``left == right``.  This module provides the value type plus every
 pointwise operation the rest of the package builds on: endpoint-wise
-arithmetic, complement, orientation helpers, the uncertainty degree, the
-neighbourhood test and the seven-way order classifier.
+arithmetic, the weighted endpoint sum, complement, orientation helpers,
+the uncertainty degree, the neighbourhood test and the seven-way order
+classifier.
 
 Arithmetic here is deliberately endpoint-wise,
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import IntervalError
 
@@ -146,18 +147,25 @@ def div(i1: GUInterval, i2: GUInterval) -> GUInterval:
     return GUInterval(i1.left / i2.left, i1.right / i2.right)
 
 
-_ARITH = {"add": add, "sub": sub, "mul": mul, "div": div}
+def endpoint_sum(
+    intervals: Iterable[GUInterval], weights: Iterable[float] | None = None
+) -> GUInterval:
+    """Weighted endpoint sum ``[sum w * left, sum w * right]``.
 
-
-def arith(op: str, i1: GUInterval, i2: GUInterval) -> GUInterval:
-    """Dispatch ``op`` in ``{"add", "sub", "mul", "div"}`` by name."""
+    Weights default to 1 and pair with the intervals in order.  Every
+    endpoint sum of the package goes through here: ``math.fsum`` rounds
+    exactly once, so the result does not depend on the order of the
+    terms, and a sum beyond the float range is an :class:`IntervalError`
+    rather than an ``OverflowError``.
+    """
+    intervals = tuple(intervals)
+    weights = (1.0,) * len(intervals) if weights is None else tuple(weights)
     try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise IntervalError(
-            f"unknown arithmetic operation {op!r}; expected one of {sorted(_ARITH)}"
-        ) from None
-    return fn(i1, i2)
+        left = math.fsum(w * i.left for w, i in zip(weights, intervals))
+        right = math.fsum(w * i.right for w, i in zip(weights, intervals))
+    except (OverflowError, ValueError):
+        raise IntervalError("endpoint sum overflows the float range") from None
+    return GUInterval(left, right)
 
 
 def inverse(i: GUInterval) -> GUInterval:
@@ -203,7 +211,7 @@ def delta_neighbour(i1: GUInterval, i2: GUInterval, delta: float) -> bool:
     in ``delta``.  It is *not* transitive, which is why the classing
     algorithm built on it fixes a pivot per class.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise IntervalError(f"delta must be nonnegative, got {delta}")
     for i in (i1, i2):
         if not i.is_proper:
@@ -293,7 +301,7 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     for i in (i1, i2):
         if not i.is_proper:
             raise IntervalError(f"comparison needs proper intervals, got {i}")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise IntervalError(f"tolerance must be nonnegative, got {tol}")
     a1, b1 = i1.left, i1.right
     a2, b2 = i2.left, i2.right

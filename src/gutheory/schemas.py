@@ -131,19 +131,6 @@ GENERATE_SCHEMA = {
     },
 }
 
-VARIABLE_SCHEMA = {
-    "$schema": _DRAFT,
-    "title": "Discrete variable document",
-    "type": "object",
-    "required": ["values", "masses"],
-    "additionalProperties": False,
-    "properties": {
-        "values": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-        "masses": {"type": "array", "minItems": 1, "items": _INTERVAL},
-        "mode": {"enum": ["coherent", "strict"]},
-    },
-}
-
 DECISION_REPORT_SCHEMA = {
     "$schema": _DRAFT,
     "title": "Decision report",
@@ -249,7 +236,6 @@ PUBLISHED = {
     "decision_input": DECISION_SCHEMA,
     "cluster_input": CLUSTER_SCHEMA,
     "generate_input": GENERATE_SCHEMA,
-    "variable_input": VARIABLE_SCHEMA,
     "decision_report": DECISION_REPORT_SCHEMA,
     "cluster_report": CLUSTER_REPORT_SCHEMA,
     "generate_report": GENERATE_REPORT_SCHEMA,

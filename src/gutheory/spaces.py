@@ -6,7 +6,9 @@ endpoint-wise.  Events are plain iterables of atom names; there is no
 wrapper class.
 
 Two validation modes exist because interval assignments rarely satisfy the
-scalar normalization ``sum == 1`` on both endpoints at once:
+scalar normalization ``sum == 1`` on both endpoints at once.  Both are
+stated once, in :func:`sum_law_violations`, which the discrete variables of
+:mod:`gutheory.variables` apply to their masses as well:
 
 ``"coherent"`` (default)
     Lower endpoints may sum to at most 1 and upper endpoints to at least 1.
@@ -21,13 +23,12 @@ scalar normalization ``sum == 1`` on both endpoints at once:
     all but name.  The mode exists for callers who want that collapse
     enforced at the door.
 
-All endpoint sums go through ``math.fsum`` so results do not depend on
-atom enumeration order.
+All endpoint sums go through :func:`~gutheory.intervals.endpoint_sum`, so
+results do not depend on atom enumeration order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -44,6 +45,7 @@ from .intervals import (
     add,
     as_interval,
     div,
+    endpoint_sum,
     gud,
     mul,
     sub,
@@ -54,6 +56,33 @@ MODES = ("coherent", "strict")
 #: Default ceiling on the atom count; event queries are linear in it, but
 #: callers enumerating subsets will not thank us for allowing thousands.
 MAX_ATOMS = 64
+
+
+def sum_law_violations(
+    intervals: Iterable[GUInterval], mode: str, tolerance: float, what: str
+) -> list[str]:
+    """The normalization law on the endpoint sums of ``intervals``.
+
+    Coherent mode needs the lower sum at most 1 and the upper sum at least
+    1; strict mode needs both equal to 1, within ``tolerance``.  ``what``
+    names one endpoint in the messages (``"endpoint"``, ``"mass
+    endpoint"``).
+    """
+    total = endpoint_sum(intervals)
+    low, high = total.left, total.right
+    if mode == "strict":
+        if abs(low - 1.0) > tolerance or abs(high - 1.0) > tolerance:
+            return [
+                f"strict mode requires both {what} sums to equal 1, got "
+                f"left sum {low:.12g} and right sum {high:.12g}"
+            ]
+        return []
+    problems = []
+    if low - 1.0 > tolerance:
+        problems.append(f"lower {what}s sum to {low:.12g}, which exceeds 1")
+    if 1.0 - high > tolerance:
+        problems.append(f"upper {what}s sum to {high:.12g}, which falls short of 1")
+    return problems
 
 
 def axiom_violations(
@@ -114,23 +143,7 @@ def axiom_violations(
         usable[a] = iv
 
     if not problems and usable:
-        low = math.fsum(iv.left for iv in usable.values())
-        high = math.fsum(iv.right for iv in usable.values())
-        if mode == "strict":
-            if abs(low - 1.0) > tolerance or abs(high - 1.0) > tolerance:
-                problems.append(
-                    "strict mode requires both endpoint sums to equal 1, got "
-                    f"left sum {low:.12g} and right sum {high:.12g}"
-                )
-        else:
-            if low - 1.0 > tolerance:
-                problems.append(
-                    f"lower endpoints sum to {low:.12g}, which exceeds 1"
-                )
-            if 1.0 - high > tolerance:
-                problems.append(
-                    f"upper endpoints sum to {high:.12g}, which falls short of 1"
-                )
+        problems += sum_law_violations(usable.values(), mode, tolerance, "endpoint")
     return tuple(problems)
 
 
@@ -140,8 +153,8 @@ class GUMeasureSpace:
 
     Constructing one runs the full axiom check and raises
     :class:`~gutheory.errors.ValidationError` listing every violation.
-    Prefer :func:`build_space`, which also coerces plain ``[left, right]``
-    pairs.
+    Plain ``[left, right]`` pairs in ``assignment`` are coerced to
+    intervals.
     """
 
     atoms: tuple[str, ...]
@@ -151,11 +164,15 @@ class GUMeasureSpace:
     max_atoms: int = MAX_ATOMS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", tuple(self.atoms))
         problems = axiom_violations(
             self.atoms, self.assignment, self.mode, self.tolerance, self.max_atoms
         )
         if problems:
             raise ValidationError(problems)
+        object.__setattr__(
+            self, "assignment", {a: as_interval(self.assignment[a]) for a in self.atoms}
+        )
 
     @classmethod
     def from_dict(cls, data: Mapping, **overrides) -> "GUMeasureSpace":
@@ -181,9 +198,7 @@ class GUMeasureSpace:
         return members
 
     def _sum(self, members: frozenset[str]) -> GUInterval:
-        lows = math.fsum(self.assignment[a].left for a in self.atoms if a in members)
-        highs = math.fsum(self.assignment[a].right for a in self.atoms if a in members)
-        return GUInterval(lows, highs)
+        return endpoint_sum(self.assignment[a] for a in self.atoms if a in members)
 
     # -- queries --------------------------------------------------------
 
@@ -296,18 +311,7 @@ def build_space(
     ``assignment`` values may be intervals or plain ``[left, right]``
     pairs.  All violations are collected before anything is raised.
     """
-    atoms = tuple(atoms)
-    problems = axiom_violations(atoms, assignment, mode, tolerance, max_atoms)
-    if problems:
-        raise ValidationError(problems)
-    coerced = {a: as_interval(assignment[a]) for a in atoms}
-    return GUMeasureSpace(
-        atoms=atoms,
-        assignment=coerced,
-        mode=mode,
-        tolerance=tolerance,
-        max_atoms=max_atoms,
-    )
+    return GUMeasureSpace(atoms, assignment, mode, tolerance, max_atoms)
 
 
 def _clip01(x: float) -> float:

@@ -7,8 +7,10 @@ and an upper function) and yield interval answers to the usual calculus
 questions: limits, derivatives, increments and integrals are computed per
 core and bracketed.
 
-Sums use ``math.fsum``; quadrature is the composite trapezoid rule on the
-envelope's own grid.
+Mass laws follow the coherent/strict normalization law of measure spaces,
+:func:`gutheory.spaces.sum_law_violations`.  Endpoint sums go through
+:func:`gutheory.intervals.endpoint_sum`; quadrature is the composite
+trapezoid rule on the envelope's own grid.
 """
 
 from __future__ import annotations
@@ -32,38 +34,22 @@ from .intervals import (
     GUInterval,
     IntervalLike,
     as_interval,
+    endpoint_sum,
     gud,
     normalize,
 )
-
-_MODES = ("coherent", "strict")
+from .spaces import MODES, sum_law_violations
 
 
 def _law_violations(
     masses: Sequence[GUInterval], mode: str, tolerance: float, what: str
 ) -> list[str]:
-    """Shared mass-law checks for discrete and joint variables."""
-    problems = []
+    """Mass-law checks for discrete and joint variables: every mass inside
+    ``[0, 1]``, then the measure spaces' normalization law."""
     bad = [i for i, m in enumerate(masses) if not m.is_measure_valid]
     if bad:
-        problems.append(f"{what} at positions {bad} must lie inside [0, 1]")
-        return problems
-    low = math.fsum(m.left for m in masses)
-    high = math.fsum(m.right for m in masses)
-    if mode == "strict":
-        if abs(low - 1.0) > tolerance or abs(high - 1.0) > tolerance:
-            problems.append(
-                f"strict mode requires both {what} sums to equal 1, got "
-                f"{low:.12g} and {high:.12g}"
-            )
-    else:
-        if low - 1.0 > tolerance:
-            problems.append(f"lower {what} endpoints sum to {low:.12g}, exceeding 1")
-        if 1.0 - high > tolerance:
-            problems.append(
-                f"upper {what} endpoints sum to {high:.12g}, falling short of 1"
-            )
-    return problems
+        return [f"{what} at positions {bad} must lie inside [0, 1]"]
+    return sum_law_violations(masses, mode, tolerance, f"{what} endpoint")
 
 
 def _values_violations(values: Sequence[float], what: str) -> list[str]:
@@ -97,9 +83,9 @@ class DiscreteGUVariable:
             problems.append(
                 f"{len(self.values)} values but {len(self.masses)} masses"
             )
-        if self.mode not in _MODES:
-            problems.append(f"unknown mode {self.mode!r}; expected one of {_MODES}")
-        if self.tolerance < 0.0:
+        if self.mode not in MODES:
+            problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if not self.tolerance >= 0.0:
             problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
         problems += _values_violations(self.values, "support values")
         if not problems:
@@ -132,9 +118,7 @@ class DiscreteGUVariable:
         at or above the largest point it is the full mass total, whose
         upper endpoint may exceed 1 in coherent mode.
         """
-        low = math.fsum(m.left for v, m in zip(self.values, self.masses) if v <= x)
-        high = math.fsum(m.right for v, m in zip(self.values, self.masses) if v <= x)
-        return GUInterval(low, high)
+        return endpoint_sum(m for v, m in zip(self.values, self.masses) if v <= x)
 
     def expectation(self) -> GUInterval:
         """Interval expected value ``[sum x*left, sum x*right]``.
@@ -142,16 +126,11 @@ class DiscreteGUVariable:
         With negative support points the result can come out inverse;
         it is returned unnormalized so the endpoint provenance survives.
         """
-        low = math.fsum(v * m.left for v, m in zip(self.values, self.masses))
-        high = math.fsum(v * m.right for v, m in zip(self.values, self.masses))
-        return GUInterval(low, high)
+        return endpoint_sum(self.masses, self.values)
 
     @property
     def total(self) -> GUInterval:
-        return GUInterval(
-            math.fsum(m.left for m in self.masses),
-            math.fsum(m.right for m in self.masses),
-        )
+        return endpoint_sum(self.masses)
 
     @property
     def is_degenerate(self) -> bool:
@@ -185,8 +164,10 @@ class JointDiscreteGUVariable:
             )
         elif any(len(row) != len(self.col_values) for row in self.cells):
             problems.append("every cell row must match the column support length")
-        if self.mode not in _MODES:
-            problems.append(f"unknown mode {self.mode!r}; expected one of {_MODES}")
+        if self.mode not in MODES:
+            problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if not self.tolerance >= 0.0:
+            problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
         if not problems:
             flat = [m for row in self.cells for m in row]
             problems += _law_violations(flat, self.mode, self.tolerance, "cell mass")
@@ -200,19 +181,8 @@ class JointDiscreteGUVariable:
         coherent joint law can give a marginal whose upper endpoint
         exceeds 1.
         """
-        rows = tuple(
-            GUInterval(
-                math.fsum(m.left for m in row), math.fsum(m.right for m in row)
-            )
-            for row in self.cells
-        )
-        cols = tuple(
-            GUInterval(
-                math.fsum(row[j].left for row in self.cells),
-                math.fsum(row[j].right for row in self.cells),
-            )
-            for j in range(len(self.col_values))
-        )
+        rows = tuple(endpoint_sum(row) for row in self.cells)
+        cols = tuple(endpoint_sum(col) for col in zip(*self.cells))
         return rows, cols
 
 
@@ -234,17 +204,15 @@ def covariance(joint: JointDiscreteGUVariable) -> CovarianceResult:
     it is normalized and the orientation reported alongside.
     """
     rows, cols = joint.marginals()
-    e1_low = math.fsum(x * m.left for x, m in zip(joint.row_values, rows))
-    e1_high = math.fsum(x * m.right for x, m in zip(joint.row_values, rows))
-    e2_low = math.fsum(y * m.left for y, m in zip(joint.col_values, cols))
-    e2_high = math.fsum(y * m.right for y, m in zip(joint.col_values, cols))
+    e1 = endpoint_sum(rows, joint.row_values)
+    e2 = endpoint_sum(cols, joint.col_values)
     low = math.fsum(
-        (x - e1_low) * (y - e2_low) * joint.cells[i][j].left
+        (x - e1.left) * (y - e2.left) * joint.cells[i][j].left
         for i, x in enumerate(joint.row_values)
         for j, y in enumerate(joint.col_values)
     )
     high = math.fsum(
-        (x - e1_high) * (y - e2_high) * joint.cells[i][j].right
+        (x - e1.right) * (y - e2.right) * joint.cells[i][j].right
         for i, x in enumerate(joint.row_values)
         for j, y in enumerate(joint.col_values)
     )

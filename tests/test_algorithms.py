@@ -182,6 +182,12 @@ class TestClassify:
         with pytest.raises(IntervalError):
             classify([[0.1, 0.2]], -0.01)
 
+    def test_rejects_nan_delta(self):
+        # No item is a NaN-neighbour of its own pivot, so the sweep would
+        # never shrink the remaining items.
+        with pytest.raises(IntervalError):
+            classify([[0.1, 0.2]], float("nan"))
+
     def test_rejects_inverse_items(self):
         with pytest.raises(IntervalError):
             classify([[0.2, 0.1]], 0.05)

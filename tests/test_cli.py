@@ -105,6 +105,23 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "--input", json.dumps(document))
         assert code == 1 and "error:" in err
 
+    def test_overflowing_geu_is_domain_error(self, capsys):
+        document = {
+            "natures": [{"name": "a", "gum": [0.6, 0.6]}, {"name": "b", "gum": [0.6, 0.6]}],
+            "schemes": [{"name": "x", "payoffs": [1.7e308, 1.7e308]}],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(document))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflow" in err
+
+    def test_nan_tolerance_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "decide", "--input", json.dumps(PROBLEM), "--tolerance", "nan"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "tolerance" in err
+
     def test_malformed_json_exit_two(self, capsys):
         code, _, err = run(capsys, "decide", "--input", '{"natures": [')
         assert code == 2 and "line" in err
@@ -166,6 +183,13 @@ class TestCluster:
         document = {"delta": -0.5, "items": [[0.1, 0.2]]}
         code, _, err = run(capsys, "cluster", "--input", json.dumps(document))
         assert code == 1 and "nonnegative" in err
+
+    def test_nan_delta_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "cluster", "--input", json.dumps(self.DOCUMENT), "--delta", "nan"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nonnegative" in err
 
     def test_float_rounding_in_output(self, capsys):
         document = {"delta": 0.30000000000000004, "items": []}
@@ -279,6 +303,13 @@ class TestValidate:
         jsonschema.validate(payload, VALIDATE_REPORT_SCHEMA)
         assert payload["valid"] is False
         assert any("A" in v for v in payload["violations"])
+
+    def test_overflowing_sum_reported_as_unavailable(self, capsys):
+        document = {"atoms": ["A", "B"], "gum": {"A": [1e308, 1e308], "B": [1e308, 1e308]}}
+        code, out, err = run(capsys, "validate", "--input", json.dumps(document))
+        assert code == 1
+        assert "sum left: n/a" in out and "sum right: n/a" in out
+        assert err.startswith("error: invalid space:") and err.count("\n") == 1
 
     def test_empty_atoms_fails_schema(self, capsys):
         code, _, err = run(capsys, "validate", "--input", '{"atoms": [], "gum": {}}')

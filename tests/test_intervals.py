@@ -11,12 +11,12 @@ from gutheory import (
     Relation,
     SystemOrder,
     add,
-    arith,
     as_interval,
     compare,
     complement,
     delta_neighbour,
     div,
+    endpoint_sum,
     gud,
     inverse,
     mul,
@@ -102,21 +102,21 @@ class TestArithmetic:
         with pytest.raises(IntervalError):
             div(GUInterval(0.1, 0.2), GUInterval(0.5, 0.0))
 
+    def test_endpoint_sum_overflow_is_interval_error(self):
+        huge = GUInterval(1.7e308, 1.7e308)
+        with pytest.raises(IntervalError):
+            endpoint_sum([huge, huge])
+        with pytest.raises(IntervalError):
+            endpoint_sum([GUInterval(0.5, 0.5)], [1e308 * 10])
+        with pytest.raises(IntervalError):  # -inf + inf inside the sum
+            endpoint_sum([GUInterval(2.0, 2.0)] * 2, [-1e308, 1e308])
+
     def test_operators_match_functions(self):
         i1, i2 = GUInterval(0.25, 0.5), GUInterval(0.125, 0.25)
         assert i1 + i2 == add(i1, i2)
         assert i1 - i2 == sub(i1, i2)
         assert i1 * i2 == mul(i1, i2)
         assert i1 / i2 == div(i1, i2)
-
-    def test_arith_dispatch(self):
-        i1, i2 = GUInterval(0.25, 0.5), GUInterval(0.125, 0.25)
-        assert arith("add", i1, i2) == add(i1, i2)
-        assert arith("sub", i1, i2) == sub(i1, i2)
-        assert arith("mul", i1, i2) == mul(i1, i2)
-        assert arith("div", i1, i2) == div(i1, i2)
-        with pytest.raises(IntervalError):
-            arith("pow", i1, i2)
 
 
 class TestOrientation:
@@ -203,6 +203,10 @@ class TestDeltaNeighbour:
         with pytest.raises(IntervalError):
             delta_neighbour(GUInterval(0, 1), GUInterval(0, 1), -0.1)
 
+    def test_rejects_nan_delta(self):
+        with pytest.raises(IntervalError):
+            delta_neighbour(GUInterval(0, 1), GUInterval(0, 1), math.nan)
+
     def test_rejects_inverse(self):
         with pytest.raises(IntervalError):
             delta_neighbour(GUInterval(0.5, 0.4), GUInterval(0, 1), 0.1)
@@ -268,6 +272,10 @@ class TestCompare:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(IntervalError):
             compare(GUInterval(0, 1), GUInterval(0, 1), tol=-1e-3)
+
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(IntervalError):
+            compare(GUInterval(0, 1), GUInterval(0, 1), tol=math.nan)
 
     def test_mirror_property(self):
         cases = [

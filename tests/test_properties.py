@@ -21,6 +21,7 @@ from gutheory import (
     compare,
     complement,
     delta_neighbour,
+    endpoint_sum,
     geu,
     gu_integral,
     gud,
@@ -272,6 +273,39 @@ class TestVariableInvariants:
         tol = 1e-9 * max(1.0, abs(base.left), abs(base.right))
         assert abs(scaled.expectation().left - c * base.left) <= tol
         assert abs(scaled.expectation().right - c * base.right) <= tol
+
+
+finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def weighted_intervals(draw):
+    """Intervals of either orientation, each with a weight."""
+    n = draw(st.integers(0, 8))
+    intervals = [GUInterval(draw(finite_floats), draw(finite_floats)) for _ in range(n)]
+    weights = [draw(finite_floats) for _ in range(n)]
+    return intervals, weights
+
+
+class TestEndpointSumInvariants:
+    @given(weighted_intervals())
+    def test_matches_paired_fsum(self, pairs):
+        intervals, weights = pairs
+        assert endpoint_sum(intervals, weights) == GUInterval(
+            math.fsum(w * i.left for w, i in zip(weights, intervals)),
+            math.fsum(w * i.right for w, i in zip(weights, intervals)),
+        )
+        assert endpoint_sum(intervals) == GUInterval(
+            math.fsum(i.left for i in intervals), math.fsum(i.right for i in intervals)
+        )
+
+    @given(weighted_intervals(), st.randoms(use_true_random=False))
+    def test_permutation_invariant(self, pairs, random):
+        intervals, weights = pairs
+        order = list(range(len(intervals)))
+        random.shuffle(order)
+        shuffled = endpoint_sum([intervals[k] for k in order], [weights[k] for k in order])
+        assert shuffled == endpoint_sum(intervals, weights)
 
 
 @st.composite

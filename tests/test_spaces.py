@@ -7,6 +7,7 @@ import pytest
 from gutheory import (
     ConditioningError,
     DegeneracyError,
+    DiscreteGUVariable,
     EventError,
     GUInterval,
     GUMeasureSpace,
@@ -105,6 +106,32 @@ class TestValidation:
     def test_direct_constructor_validates(self):
         with pytest.raises(ValidationError):
             GUMeasureSpace(atoms=("A",), assignment={"A": GUInterval(0.2, 0.3)})
+
+    def test_direct_constructor_coerces_pairs(self):
+        sp = GUMeasureSpace(atoms=("A", "B"), assignment={"A": [0.5, 0.5], "B": [0.5, 0.5]})
+        assert sp.measure(["A"]) == GUInterval(0.5, 0.5)
+        assert sp.assignment["B"] == GUInterval(0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "masses, mode",
+        [
+            ([(0.6, 0.7), (0.6, 0.7)], "coherent"),
+            ([(0.1, 0.2), (0.1, 0.2)], "coherent"),
+            ([(0.1, 0.2), (0.2, 0.3)], "strict"),
+        ],
+    )
+    def test_variables_share_the_sum_law(self, masses, mode):
+        with pytest.raises(ValidationError) as space_err:
+            build_space(["A", "B"], dict(zip("AB", masses)), mode=mode)
+        with pytest.raises(ValidationError) as variable_err:
+            DiscreteGUVariable(
+                values=(1.0, 2.0), masses=tuple(GUInterval(*m) for m in masses), mode=mode
+            )
+        relabelled = [
+            v.replace("mass endpoint", "endpoint") for v in variable_err.value.violations
+        ]
+        assert relabelled == list(space_err.value.violations)
+        assert all("mass endpoint" in v for v in variable_err.value.violations)
 
     def test_from_dict(self):
         sp = GUMeasureSpace.from_dict({"atoms": ["N1", "N2", "N3"], "gum": THREE_ATOM})

@@ -121,6 +121,14 @@ class TestDiscreteVariable:
                 values=(1.0,), masses=(GUInterval(1.0, 1.0),), mode="sloppy"
             )
 
+    @pytest.mark.parametrize("tolerance", [-1e-3, math.nan])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError) as err:
+            DiscreteGUVariable(
+                values=(1.0,), masses=(GUInterval(1.0, 1.0),), tolerance=tolerance
+            )
+        assert "tolerance" in str(err.value)
+
 
 class TestJointAndCovariance:
     def test_perfectly_correlated_degenerate(self):
@@ -177,6 +185,17 @@ class TestJointAndCovariance:
         assert rows[0].left == pytest.approx(0.3, abs=1e-15)
         assert rows[0].right == pytest.approx(0.5, abs=1e-15)
         assert len(rows) == 2 and len(cols) == 2
+
+    @pytest.mark.parametrize("tolerance", [-1e-3, math.nan])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError) as err:
+            JointDiscreteGUVariable(
+                row_values=(0.0,),
+                col_values=(0.0,),
+                cells=((GUInterval(1.0, 1.0),),),
+                tolerance=tolerance,
+            )
+        assert "tolerance" in str(err.value)
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
