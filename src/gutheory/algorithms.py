@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, IntervalError
-from .intervals import GUInterval, IntervalLike, as_interval, delta_neighbour
+from .intervals import IntervalLike, as_interval, delta_neighbour
 
 FAMILIES = ("normal", "uniform", "exponential")
 
@@ -97,10 +97,6 @@ class GUSequence:
     def __getitem__(self, index):
         return self.elements[index]
 
-    def as_intervals(self) -> list[GUInterval]:
-        """Lift each element to the degenerate interval ``[x, x]``."""
-        return [GUInterval(x, x) for x in self.elements]
-
 
 def generate_sequence(
     specs: Sequence[DistributionSpec], k: int, seed: int = 0
@@ -117,6 +113,8 @@ def generate_sequence(
         raise ConfigurationError("at least one distribution is required")
     if k < 1:
         raise ConfigurationError(f"sequence length must be positive, got {k}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     rows = [[spec.sample(rng) for spec in specs] for _ in range(k)]
     picks = rng.integers(0, len(specs), size=k)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +53,27 @@ def _reject_constant(token: str):
     raise _UsageError(f"non-finite number {token} is not valid JSON")
 
 
+def _beyond_float_range(token: str) -> _UsageError:
+    shown = token if len(token) <= 24 else f"{token[:21]}..."
+    return _UsageError(f"number {shown} lies beyond the float range")
+
+
+def _parse_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise _beyond_float_range(token)
+    return value
+
+
+def _parse_int(token: str) -> int:
+    try:
+        value = int(token)
+        float(value)
+    except (OverflowError, ValueError):
+        raise _beyond_float_range(token) from None
+    return value
+
+
 def _load_document(source: str) -> dict:
     if source == "-":
         text = sys.stdin.read()
@@ -62,7 +85,12 @@ def _load_document(source: str) -> dict:
         except OSError as exc:
             raise _UsageError(f"cannot read {source!r}: {exc}") from None
     try:
-        document = json.loads(text, parse_constant=_reject_constant)
+        document = json.loads(
+            text,
+            parse_float=_parse_float,
+            parse_int=_parse_int,
+            parse_constant=_reject_constant,
+        )
     except _UsageError:
         raise
     except json.JSONDecodeError as exc:
@@ -268,7 +296,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GutError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     return code
 
 

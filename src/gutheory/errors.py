@@ -45,8 +45,8 @@ class DegeneracyError(GutError):
 
 
 class ConfigurationError(GutError):
-    """Unusable configuration: bad distribution parameters, a malformed
-    core or envelope description, or a grid too coarse to use."""
+    """Unusable configuration: bad distribution parameters, a negative
+    seed, or an envelope of the wrong kind for the requested operation."""
 
 
 class EnvelopeError(GutError):

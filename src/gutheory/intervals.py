@@ -78,29 +78,6 @@ class GUInterval:
     def __str__(self) -> str:
         return f"[{self.left:g}, {self.right:g}]"
 
-    # Endpoint-wise operator sugar.  The named functions below are the
-    # documented surface; these simply delegate.
-
-    def __add__(self, other: "GUInterval") -> "GUInterval":
-        if not isinstance(other, GUInterval):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other: "GUInterval") -> "GUInterval":
-        if not isinstance(other, GUInterval):
-            return NotImplemented
-        return sub(self, other)
-
-    def __mul__(self, other: "GUInterval") -> "GUInterval":
-        if not isinstance(other, GUInterval):
-            return NotImplemented
-        return mul(self, other)
-
-    def __truediv__(self, other: "GUInterval") -> "GUInterval":
-        if not isinstance(other, GUInterval):
-            return NotImplemented
-        return div(self, other)
-
 
 #: Anything :func:`as_interval` accepts: an interval or a two-item sequence.
 IntervalLike = Union[GUInterval, Sequence[float]]

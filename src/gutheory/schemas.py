@@ -9,6 +9,11 @@ errors.  The report schemas describe what each subcommand prints with
 
 from __future__ import annotations
 
+from .algorithms import FAMILIES
+from .decisions import ATTITUDES, SelectionRationale
+from .intervals import Relation
+from .spaces import MODES
+
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
 _INTERVAL = {
@@ -18,17 +23,9 @@ _INTERVAL = {
     "minItems": 2,
 }
 
-_RELATION = {
-    "enum": [
-        "Equal",
-        "StronglySmaller",
-        "StronglyGreater",
-        "PartlySmaller",
-        "PartlyGreater",
-        "WeaklySmaller",
-        "WeaklyGreater",
-    ]
-}
+_RELATION = {"enum": [r.value for r in Relation]}
+_MODE = {"enum": list(MODES)}
+_ATTITUDE = {"enum": list(ATTITUDES)}
 
 SPACE_SCHEMA = {
     "$schema": _DRAFT,
@@ -44,7 +41,7 @@ SPACE_SCHEMA = {
             "items": {"type": "string", "minLength": 1},
         },
         "gum": {"type": "object", "additionalProperties": _INTERVAL},
-        "mode": {"enum": ["coherent", "strict"]},
+        "mode": _MODE,
     },
 }
 
@@ -85,7 +82,7 @@ DECISION_SCHEMA = {
                 },
             },
         },
-        "attitude": {"enum": ["averse", "seeking"]},
+        "attitude": _ATTITUDE,
     },
 }
 
@@ -109,7 +106,7 @@ GENERATE_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "k": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "distributions": {
             "type": "array",
             "minItems": 1,
@@ -118,7 +115,7 @@ GENERATE_SCHEMA = {
                 "required": ["family", "mu"],
                 "additionalProperties": False,
                 "properties": {
-                    "family": {"enum": ["normal", "uniform", "exponential"]},
+                    "family": {"enum": list(FAMILIES)},
                     "mu": {"type": "number"},
                     "sigma2": {"type": "number"},
                 },
@@ -172,15 +169,8 @@ DECISION_REPORT_SCHEMA = {
             },
         },
         "selected": {"type": "string"},
-        "rationale": {
-            "enum": [
-                "StronglyAdvantage",
-                "WeaklyAdvantage",
-                "RiskAverseMinGud",
-                "RiskSeekingMaxGud",
-            ]
-        },
-        "attitude": {"anyOf": [{"type": "null"}, {"enum": ["averse", "seeking"]}]},
+        "rationale": {"enum": [r.value for r in SelectionRationale]},
+        "attitude": {"anyOf": [{"type": "null"}, _ATTITUDE]},
         "note": {"anyOf": [{"type": "null"}, {"type": "string"}]},
     },
 }
@@ -207,7 +197,7 @@ GENERATE_REPORT_SCHEMA = {
     "required": ["seed", "k", "generator", "elements"],
     "additionalProperties": False,
     "properties": {
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "k": {"type": "integer", "minimum": 1},
         "generator": {"const": "pcg64"},
         "elements": {"type": "array", "items": {"type": "number"}},
@@ -222,7 +212,7 @@ VALIDATE_REPORT_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "valid": {"type": "boolean"},
-        "mode": {"enum": ["coherent", "strict"]},
+        "mode": _MODE,
         "atoms": {"type": "integer", "minimum": 0},
         "sum_left": {"anyOf": [{"type": "null"}, {"type": "number"}]},
         "sum_right": {"anyOf": [{"type": "null"}, {"type": "number"}]},

@@ -53,8 +53,8 @@ from .intervals import (
 
 MODES = ("coherent", "strict")
 
-#: Default ceiling on the atom count; event queries are linear in it, but
-#: callers enumerating subsets will not thank us for allowing thousands.
+#: Ceiling on the atom count; event queries are linear in it, but callers
+#: enumerating subsets will not thank us for allowing thousands.
 MAX_ATOMS = 64
 
 
@@ -90,7 +90,6 @@ def axiom_violations(
     assignment: Mapping[str, IntervalLike],
     mode: str = "coherent",
     tolerance: float = DEFAULT_TOLERANCE,
-    max_atoms: int = MAX_ATOMS,
 ) -> tuple[str, ...]:
     """Check a proposed space against every construction rule at once.
 
@@ -107,8 +106,8 @@ def axiom_violations(
         seen: set[str] = set()
         dupes = sorted({a for a in atoms if a in seen or seen.add(a)})
         problems.append(f"duplicate atoms: {dupes}")
-    if len(atoms) > max_atoms:
-        problems.append(f"{len(atoms)} atoms exceed the limit of {max_atoms}")
+    if len(atoms) > MAX_ATOMS:
+        problems.append(f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS}")
     for a in atoms:
         if not isinstance(a, str) or not a:
             problems.append(f"atom names must be non-empty strings, got {a!r}")
@@ -161,32 +160,15 @@ class GUMeasureSpace:
     assignment: Mapping[str, GUInterval]
     mode: str = "coherent"
     tolerance: float = DEFAULT_TOLERANCE
-    max_atoms: int = MAX_ATOMS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        problems = axiom_violations(
-            self.atoms, self.assignment, self.mode, self.tolerance, self.max_atoms
-        )
+        problems = axiom_violations(self.atoms, self.assignment, self.mode, self.tolerance)
         if problems:
             raise ValidationError(problems)
         object.__setattr__(
             self, "assignment", {a: as_interval(self.assignment[a]) for a in self.atoms}
         )
-
-    @classmethod
-    def from_dict(cls, data: Mapping, **overrides) -> "GUMeasureSpace":
-        """Build from the JSON document shape::
-
-            {"atoms": ["N1", ...], "gum": {"N1": [0.1, 0.2], ...},
-             "mode": "coherent"}
-
-        Keyword overrides (``mode``, ``tolerance``, ``max_atoms``) win over
-        the document.
-        """
-        kwargs = {"mode": data.get("mode", "coherent")}
-        kwargs.update(overrides)
-        return build_space(data.get("atoms", ()), data.get("gum", {}), **kwargs)
 
     # -- event plumbing -------------------------------------------------
 
@@ -246,19 +228,16 @@ class GUMeasureSpace:
             )
         return div(self.measure(a & b), mb)
 
-    def independent(
-        self, event_a: Iterable[str], event_b: Iterable[str], tol: float | None = None
-    ) -> bool:
-        """Test whether the joint measure factorizes endpoint-wise."""
-        if tol is None:
-            tol = self.tolerance
+    def independent(self, event_a: Iterable[str], event_b: Iterable[str]) -> bool:
+        """Test whether the joint measure factorizes endpoint-wise, within
+        the space's tolerance."""
         a = self._members(event_a)
         b = self._members(event_b)
         joint = self.measure(a & b)
         product = mul(self.measure(a), self.measure(b))
         return (
-            abs(joint.left - product.left) <= tol
-            and abs(joint.right - product.right) <= tol
+            abs(joint.left - product.left) <= self.tolerance
+            and abs(joint.right - product.right) <= self.tolerance
         )
 
     def union_measure(self, event_a: Iterable[str], event_b: Iterable[str]) -> GUInterval:
@@ -304,14 +283,13 @@ def build_space(
     mode: str = "coherent",
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_atoms: int = MAX_ATOMS,
 ) -> GUMeasureSpace:
     """Validate and build a measure space.
 
     ``assignment`` values may be intervals or plain ``[left, right]``
     pairs.  All violations are collected before anything is raised.
     """
-    return GUMeasureSpace(atoms, assignment, mode, tolerance, max_atoms)
+    return GUMeasureSpace(atoms, assignment, mode, tolerance)
 
 
 def _clip01(x: float) -> float:

@@ -93,17 +93,6 @@ class DiscreteGUVariable:
         if problems:
             raise ValidationError(problems)
 
-    @classmethod
-    def from_dict(cls, data: Mapping, **overrides) -> "DiscreteGUVariable":
-        """Build from ``{"values": [...], "masses": [[l, r], ...]}``."""
-        kwargs = {"mode": data.get("mode", "coherent")}
-        kwargs.update(overrides)
-        return cls(
-            values=tuple(float(v) for v in data.get("values", ())),
-            masses=tuple(as_interval(m) for m in data.get("masses", ())),
-            **kwargs,
-        )
-
     def mass(self, x: float) -> GUInterval:
         """Interval mass at ``x``; ``[0, 0]`` off the support."""
         for v, m in zip(self.values, self.masses):
@@ -228,6 +217,10 @@ ENVELOPE_KINDS = ("free", "unit", "density")
 
 _RANGE_SLACK = 1e-9
 
+#: Grid size used by every envelope for validation, quadrature and finite
+#: differences.
+RESOLUTION = 1025
+
 
 @dataclass(frozen=True, eq=False)
 class GUFunctionEnvelope:
@@ -241,14 +234,13 @@ class GUFunctionEnvelope:
     * ``"unit"``: both cores stay inside ``[0, 1]``.
     * ``"density"``: both cores are nonnegative.
 
-    ``resolution`` is the grid size used for validation, quadrature and
-    finite differences.
+    Every check and every calculus operation works on a grid of
+    :data:`RESOLUTION` points.
     """
 
     lower: Callable[[float], float]
     upper: Callable[[float], float]
     domain: tuple[float, float]
-    resolution: int = 1025
     kind: str = "free"
 
     def __post_init__(self) -> None:
@@ -262,8 +254,6 @@ class GUFunctionEnvelope:
         object.__setattr__(self, "domain", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             problems.append(f"domain must be a finite ordered pair, got {self.domain}")
-        if self.resolution < 2:
-            problems.append(f"resolution must be at least 2, got {self.resolution}")
         if self.kind not in ENVELOPE_KINDS:
             problems.append(
                 f"unknown kind {self.kind!r}; expected one of {ENVELOPE_KINDS}"
@@ -301,11 +291,11 @@ class GUFunctionEnvelope:
         return problems
 
     def grid(self, a: float | None = None, b: float | None = None) -> np.ndarray:
-        """Evaluation grid of ``resolution`` points over ``[a, b]``
+        """Evaluation grid of :data:`RESOLUTION` points over ``[a, b]``
         (defaulting to the whole domain)."""
         lo = self.domain[0] if a is None else a
         hi = self.domain[1] if b is None else b
-        return np.linspace(lo, hi, self.resolution)
+        return np.linspace(lo, hi, RESOLUTION)
 
     def _contains(self, x: float) -> bool:
         return self.domain[0] <= x <= self.domain[1]
@@ -377,7 +367,7 @@ def gu_derivative(env: GUFunctionEnvelope, x0: float) -> GUInterval:
     """
     env._require(x0, "derivative point")
     lo, hi = env.domain
-    h = (hi - lo) / (env.resolution - 1)
+    h = (hi - lo) / (RESOLUTION - 1)
 
     def diff(core: Callable[[float], float]) -> float:
         if x0 - h >= lo and x0 + h <= hi:
@@ -409,7 +399,7 @@ def gu_variation(env: GUFunctionEnvelope, x0: float, delta: float) -> GUInterval
 
 def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:
     """Interval integral over ``[a, b]`` by the trapezoid rule on a fresh
-    grid of ``resolution`` points."""
+    grid of :data:`RESOLUTION` points."""
     env._require(a, "integration bound")
     env._require(b, "integration bound")
     if a > b:
@@ -420,34 +410,7 @@ def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:
     return GUInterval(float(np.trapezoid(lows, xs)), float(np.trapezoid(highs, xs)))
 
 
-def gu_calculus(kind: str, env: GUFunctionEnvelope, at) -> GUInterval:
-    """Uniform dispatch over the four envelope calculus operations.
-
-    ``at`` is a point for ``"limit"`` and ``"derivative"``, an
-    ``(x, delta)`` pair for ``"variation"`` and an ``(a, b)`` pair for
-    ``"integral"``.
-    """
-    if kind in ("limit", "derivative"):
-        try:
-            x0 = float(at)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{kind} expects a single point, got {at!r}") from None
-        return gu_limit(env, x0) if kind == "limit" else gu_derivative(env, x0)
-    if kind in ("variation", "integral"):
-        try:
-            first, second = (float(v) for v in at)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{kind} expects a pair, got {at!r}") from None
-        if kind == "variation":
-            return gu_variation(env, first, second)
-        return gu_integral(env, first, second)
-    raise ConfigurationError(
-        f"unknown calculus operation {kind!r}; expected limit, derivative, "
-        "variation or integral"
-    )
-
-
-def density_expectation(env: GUFunctionEnvelope, tol: float = DEFAULT_TOLERANCE) -> GUInterval:
+def density_expectation(env: GUFunctionEnvelope) -> GUInterval:
     """Interval expected value of a density envelope.
 
     Integrates the pointwise minimum and maximum of ``x * lower(x)`` and
@@ -457,10 +420,6 @@ def density_expectation(env: GUFunctionEnvelope, tol: float = DEFAULT_TOLERANCE)
     if env.kind != "density":
         raise ConfigurationError(
             f"expected a density envelope, got kind {env.kind!r}"
-        )
-    if env.resolution < 3:
-        raise ConfigurationError(
-            f"resolution {env.resolution} is too coarse to integrate"
         )
     xs = env.grid()
     weighted_low = np.array([x * env.lower(x) for x in xs])
@@ -546,64 +505,3 @@ class GUProcess:
             return self.variables[t]
         except KeyError:
             raise KeyError(f"no variable at time {t!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Config-driven cores and envelopes
-
-
-def core_from_config(config: Mapping) -> Callable[[float], float]:
-    """Build a core function from a small JSON-style description.
-
-    Supported shapes::
-
-        {"type": "constant", "value": 1.0}
-        {"type": "linear", "slope": 2.0, "intercept": 0.5}
-        {"type": "polynomial", "coefficients": [c0, c1, c2, ...]}
-
-    Polynomial coefficients are ascending (``c0 + c1*x + c2*x**2 ...``).
-    """
-    try:
-        kind = config["type"]
-    except (TypeError, KeyError):
-        raise ConfigurationError(f"core description needs a 'type': {config!r}") from None
-    try:
-        if kind == "constant":
-            value = float(config["value"])
-            return lambda x: value
-        if kind == "linear":
-            slope, intercept = float(config["slope"]), float(config["intercept"])
-            return lambda x: slope * x + intercept
-        if kind == "polynomial":
-            coeffs = tuple(float(c) for c in config["coefficients"])
-            if not coeffs:
-                raise ConfigurationError("polynomial core needs coefficients")
-
-            def poly(x: float) -> float:
-                acc = 0.0
-                for c in reversed(coeffs):
-                    acc = acc * x + c
-                return acc
-
-            return poly
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad core description {config!r}: {exc}") from None
-    raise ConfigurationError(f"unknown core type {kind!r}")
-
-
-def envelope_from_config(config: Mapping) -> GUFunctionEnvelope:
-    """Build an envelope from ``{"lower": core, "upper": core,
-    "domain": [a, b], "resolution"?, "kind"?}``."""
-    try:
-        lower = core_from_config(config["lower"])
-        upper = core_from_config(config["upper"])
-        a, b = (float(v) for v in config["domain"])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigurationError(f"bad envelope description: {exc}") from None
-    return GUFunctionEnvelope(
-        lower=lower,
-        upper=upper,
-        domain=(a, b),
-        resolution=int(config.get("resolution", 1025)),
-        kind=config.get("kind", "free"),
-    )

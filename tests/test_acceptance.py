@@ -27,7 +27,8 @@ from gutheory import (
     delta_neighbour,
     generate_sequence,
     geu,
-    gu_calculus,
+    gu_derivative,
+    gu_integral,
     nested_limit,
     build_space,
     add,
@@ -386,11 +387,11 @@ def test_criterion_9_calculus_checks():
     box = GUFunctionEnvelope(
         lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0)
     )
-    integral = gu_calculus("integral", box, (0.0, 1.0))
+    integral = gu_integral(box, 0.0, 1.0)
     parabola = GUFunctionEnvelope(
         lower=lambda x: x * x, upper=lambda x: x * x, domain=(0.0, 2.0)
     )
-    derivative = gu_calculus("derivative", parabola, 1.0)
+    derivative = gu_derivative(parabola, 1.0)
     ok = (
         abs(integral.left - 0.0) <= 1e-6
         and abs(integral.right - 1.0) <= 1e-6

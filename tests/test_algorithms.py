@@ -123,10 +123,9 @@ class TestGenerateSequence:
         with pytest.raises(ConfigurationError):
             generate_sequence(self.SPECS, 0)
 
-    def test_as_intervals_degenerate(self):
-        seq = generate_sequence(self.SPECS, 5, seed=2)
-        lifted = seq.as_intervals()
-        assert all(iv.left == iv.right == x for iv, x in zip(lifted, seq))
+    def test_negative_seed_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            generate_sequence(self.SPECS, 3, seed=-1)
 
     def test_sequence_indexing(self):
         seq = GUSequence((1.0, 2.0, 3.0))

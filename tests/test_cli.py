@@ -2,8 +2,10 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -144,6 +146,17 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "--input", str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
 
+    def test_integer_beyond_float_range_usage_error(self, capsys):
+        huge = "1" + "0" * 400
+        document = (
+            '{"natures": [{"name": "a", "gum": [0.5, 1.0]}], '
+            f'"schemes": [{{"name": "x", "payoffs": [{huge}]}}]}}'
+        )
+        code, out, err = run(capsys, "decide", "--input", document)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "float range" in err
+
 
 class TestCluster:
     DOCUMENT = {
@@ -190,6 +203,18 @@ class TestCluster:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "delta",
+        ["1e400", "-1e400", "1" + "0" * 400, "1" + "0" * 5000],
+        ids=["1e400", "-1e400", "int-401-digits", "int-5001-digits"],
+    )
+    def test_number_beyond_float_range_usage_error(self, capsys, delta):
+        document = f'{{"delta": {delta}, "items": [[0.1, 0.2]]}}'
+        code, out, err = run(capsys, "cluster", "--input", document, "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "float range" in err
 
     def test_float_rounding_in_output(self, capsys):
         document = {"delta": 0.30000000000000004, "items": []}
@@ -259,6 +284,41 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--input", json.dumps(self.DOCUMENT))
         assert code == 0
         assert "generator: pcg64" in out
+
+    def test_negative_seed_in_document_fails_schema(self, capsys):
+        document = dict(self.DOCUMENT, seed=-1)
+        code, out, err = run(capsys, "generate", "--input", json.dumps(document))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "schema" in err
+
+    def test_negative_seed_flag_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--input", json.dumps(self.DOCUMENT), "--seed", "-1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "seed" in err
+
+    def test_closed_stdout_exit_one(self):
+        document = {"k": 200000, "distributions": [{"family": "exponential", "mu": 1}]}
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gutheory", "generate", "--input", json.dumps(document)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"seed: 0\n"
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        err = err.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestValidate:

@@ -111,13 +111,6 @@ class TestArithmetic:
         with pytest.raises(IntervalError):  # -inf + inf inside the sum
             endpoint_sum([GUInterval(2.0, 2.0)] * 2, [-1e308, 1e308])
 
-    def test_operators_match_functions(self):
-        i1, i2 = GUInterval(0.25, 0.5), GUInterval(0.125, 0.25)
-        assert i1 + i2 == add(i1, i2)
-        assert i1 - i2 == sub(i1, i2)
-        assert i1 * i2 == mul(i1, i2)
-        assert i1 / i2 == div(i1, i2)
-
 
 class TestOrientation:
     def test_inverse_swaps(self):

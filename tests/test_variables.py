@@ -16,11 +16,8 @@ from gutheory import (
     JointDiscreteGUVariable,
     NestingError,
     ValidationError,
-    core_from_config,
     covariance,
     density_expectation,
-    envelope_from_config,
-    gu_calculus,
     gu_derivative,
     gu_integral,
     gu_limit,
@@ -90,13 +87,6 @@ class TestDiscreteVariable:
         )
         assert v.is_degenerate
         assert v.expectation() == GUInterval(2.5, 2.5)
-
-    def test_from_dict(self):
-        v = DiscreteGUVariable.from_dict(
-            {"values": [1, 2, 3], "masses": [[0.1, 0.2], [0.2, 0.3], [0.5, 0.7]]}
-        )
-        assert v.values == (1.0, 2.0, 3.0)
-        assert v.masses[2] == GUInterval(0.5, 0.7)
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
@@ -217,7 +207,8 @@ class TestEnvelopeConstruction:
         env = GUFunctionEnvelope(
             lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="unit"
         )
-        assert env.resolution == 1025
+        assert env.domain == (0.0, 1.0)
+        assert env.kind == "unit"
 
     def test_rejects_crossed_cores(self):
         with pytest.raises(ValidationError) as err:
@@ -322,24 +313,6 @@ class TestCalculus:
         with pytest.raises(EnvelopeError):
             gu_integral(square_env, 1.0, 0.5)
 
-    def test_dispatch(self, square_env):
-        assert gu_calculus("limit", square_env, 1.0) == gu_limit(square_env, 1.0)
-        assert gu_calculus("derivative", square_env, 1.0) == gu_derivative(square_env, 1.0)
-        assert gu_calculus("variation", square_env, (0.5, 0.25)) == gu_variation(
-            square_env, 0.5, 0.25
-        )
-        assert gu_calculus("integral", square_env, (0.0, 1.0)) == gu_integral(
-            square_env, 0.0, 1.0
-        )
-
-    def test_dispatch_rejects_unknown_and_malformed(self, square_env):
-        with pytest.raises(ConfigurationError):
-            gu_calculus("curl", square_env, 1.0)
-        with pytest.raises(ConfigurationError):
-            gu_calculus("integral", square_env, 1.0)
-        with pytest.raises(ConfigurationError):
-            gu_calculus("limit", square_env, (0.0, 1.0))
-
 
 class TestDensityExpectation:
     def test_uniform_density(self):
@@ -421,45 +394,3 @@ class TestProcess:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             GUProcess({})
-
-
-class TestConfigBuilders:
-    def test_constant(self):
-        f = core_from_config({"type": "constant", "value": 2.5})
-        assert f(0.0) == 2.5 and f(100.0) == 2.5
-
-    def test_linear(self):
-        f = core_from_config({"type": "linear", "slope": 2.0, "intercept": 1.0})
-        assert f(3.0) == 7.0
-
-    def test_polynomial(self):
-        f = core_from_config({"type": "polynomial", "coefficients": [1.0, 0.0, 1.0]})
-        assert f(2.0) == 5.0  # 1 + x^2
-
-    def test_bad_configs(self):
-        with pytest.raises(ConfigurationError):
-            core_from_config({"type": "spline"})
-        with pytest.raises(ConfigurationError):
-            core_from_config({"value": 1.0})
-        with pytest.raises(ConfigurationError):
-            core_from_config({"type": "linear", "slope": 1.0})
-        with pytest.raises(ConfigurationError):
-            core_from_config({"type": "polynomial", "coefficients": []})
-
-    def test_envelope_from_config(self):
-        env = envelope_from_config(
-            {
-                "lower": {"type": "constant", "value": 0.0},
-                "upper": {"type": "linear", "slope": 1.0, "intercept": 0.0},
-                "domain": [0.0, 1.0],
-                "resolution": 129,
-                "kind": "unit",
-            }
-        )
-        assert env.resolution == 129
-        got = gu_integral(env, 0.0, 1.0)
-        assert got.right == pytest.approx(0.5, abs=1e-9)
-
-    def test_envelope_config_errors(self):
-        with pytest.raises(ConfigurationError):
-            envelope_from_config({"lower": {"type": "constant", "value": 0.0}})
