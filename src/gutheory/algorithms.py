@@ -8,6 +8,8 @@ identical seeds give identical sequences across runs and platforms.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -49,17 +51,28 @@ class DistributionSpec:
                 raise ConfigurationError(
                     f"{self.family} needs a positive variance, got {self.sigma2!r}"
                 )
+            if self.family == "uniform":
+                half_width = math.sqrt(3.0 * self.sigma2)
+                low, high = self.mu - half_width, self.mu + half_width
+                # Not finite when either bound, or the width the sampler
+                # computes from them, overflows.
+                if not math.isfinite(high - low):
+                    raise ConfigurationError(
+                        f"uniform range [{low}, {high}] lies beyond the float range"
+                    )
         else:
             if self.mu <= 0.0:
                 raise ConfigurationError(
                     f"exponential needs a positive mean, got {self.mu}"
                 )
+            # mu * mu overflows to inf, where mu**2 would raise OverflowError.
+            variance = self.mu * self.mu
             if self.sigma2 is not None and not math.isclose(
-                self.sigma2, self.mu**2, rel_tol=1e-9, abs_tol=1e-12
+                self.sigma2, variance, rel_tol=1e-9, abs_tol=1e-12
             ):
                 raise ConfigurationError(
                     f"exponential variance is determined by the mean; "
-                    f"expected {self.mu**2:.12g}, got {self.sigma2:.12g}"
+                    f"expected {variance:.12g}, got {self.sigma2:.12g}"
                 )
 
     @classmethod
@@ -118,7 +131,13 @@ def generate_sequence(
     rng = np.random.default_rng(seed)
     rows = [[spec.sample(rng) for spec in specs] for _ in range(k)]
     picks = rng.integers(0, len(specs), size=k)
-    return GUSequence(tuple(rows[j][picks[j]] for j in range(k)))
+    elements = tuple(rows[j][picks[j]] for j in range(k))
+    if not all(map(math.isfinite, elements)):
+        j = next(j for j, x in enumerate(elements) if not math.isfinite(x))
+        raise ConfigurationError(
+            f"element {j} drew {elements[j]}, which lies beyond the float range"
+        )
+    return GUSequence(elements)
 
 
 def classify(
@@ -132,6 +151,11 @@ def classify(
     index appears exactly once, and each class leads with its pivot.
     Neighbourhood is checked against the pivot only, so members of one
     class need not be within ``delta`` of each other.
+
+    Only the unclassed items whose left endpoints lie in the δ-window
+    around the pivot's are tested, found by bisection in an index sorted
+    by left endpoint; the classes are the same as those of the full
+    greedy sweep over every remaining item.
     """
     intervals = [as_interval(item) for item in items]
     if not delta >= 0.0:
@@ -139,14 +163,37 @@ def classify(
     for i, iv in enumerate(intervals):
         if not iv.is_proper:
             raise IntervalError(f"item {i} is an inverse interval: {iv}")
+    # ``order`` holds the unclassed indices sorted stably by left endpoint,
+    # and ``keys`` their left endpoints.
+    order = sorted(range(len(intervals)), key=lambda i: intervals[i].left)
+    keys = [intervals[i].left for i in order]
+    placed = [False] * len(intervals)
+    # A member x of the pivot's class passes abs(left - x.left) <= delta in
+    # floating point.  The subtraction rounds by at most 2**-53 of the exact
+    # gap, and is exact when the gap is subnormal, so the exact gap is at
+    # most delta / (1 - 2**-53), or delta itself when delta is subnormal;
+    # reach is at least that.  Rounding is monotone and x.left is a float,
+    # so fl(left - reach) <= x.left <= fl(left + reach): the window holds
+    # every member, and the exact test below decides who joins.  A reach
+    # that overflows to inf takes in every item; so does a delta beyond
+    # the float range (a huge int), which cannot be multiplied as a float.
+    reach = delta * (1.0 + 1e-12) if delta <= sys.float_info.max else math.inf
     classes: list[list[int]] = []
-    remaining = list(range(len(intervals)))
-    while remaining:
-        pivot = remaining[0]
-        members = [
-            i for i in remaining if delta_neighbour(intervals[pivot], intervals[i], delta)
-        ]
+    for pivot in range(len(intervals)):
+        if placed[pivot]:
+            continue
+        left = intervals[pivot].left
+        lo = bisect_left(keys, left - reach)
+        hi = bisect_right(keys, left + reach)
+        window = order[lo:hi]
+        members = sorted(
+            i for i in window
+            if delta_neighbour(intervals[pivot], intervals[i], delta)
+        )
+        for i in members:
+            placed[i] = True
         classes.append(members)
-        taken = set(members)
-        remaining = [i for i in remaining if i not in taken]
+        kept = [i for i in window if not placed[i]]
+        order[lo:hi] = kept
+        keys[lo:hi] = [intervals[i].left for i in kept]
     return classes

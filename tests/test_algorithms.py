@@ -48,6 +48,16 @@ class TestDistributionSpec:
         with pytest.raises(ConfigurationError):
             DistributionSpec("normal", float("inf"), 1.0)
 
+    def test_uniform_range_beyond_float_range(self):
+        DistributionSpec("uniform", 0.0, 1e300)
+        # 3 * sigma2 overflows, so the bounds are -inf and inf
+        with pytest.raises(ConfigurationError, match="float range"):
+            DistributionSpec("uniform", 0.0, 1e308)
+
+    def test_exponential_variance_check_does_not_overflow(self):
+        with pytest.raises(ConfigurationError, match="expected inf"):
+            DistributionSpec("exponential", 1e308, 1.0)
+
     def test_from_dict(self):
         spec = DistributionSpec.from_dict({"family": "uniform", "mu": 0.5, "sigma2": 0.1})
         assert spec.family == "uniform"
@@ -127,6 +137,10 @@ class TestGenerateSequence:
         with pytest.raises(ConfigurationError, match="seed"):
             generate_sequence(self.SPECS, 3, seed=-1)
 
+    def test_non_finite_element_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="float range"):
+            generate_sequence([DistributionSpec("exponential", 1e308)], 20, seed=0)
+
     def test_sequence_indexing(self):
         seq = GUSequence((1.0, 2.0, 3.0))
         assert seq[1] == 2.0
@@ -153,6 +167,11 @@ class TestClassify:
 
     def test_empty_input(self):
         assert classify([], 0.1) == []
+
+    @pytest.mark.parametrize("delta", [1e308, float("inf"), 10**400])
+    def test_delta_beyond_every_gap(self, delta):
+        items = [[-1e300, 1e300], [0.0, 0.5], [1e300, 1e300]]
+        assert classify(items, delta) == [[0, 1, 2]]
 
     def test_accepts_intervals(self):
         classes = classify([GUInterval(0.1, 0.2), GUInterval(0.8, 0.9)], 0.05)

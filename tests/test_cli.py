@@ -299,6 +299,24 @@ class TestGenerate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # five of the twenty kept draws overflow to inf
+            ({"family": "exponential", "mu": 1e308}, "drew inf"),
+            ({"family": "uniform", "mu": 0, "sigma2": 1e308}, "uniform range"),
+            ({"family": "exponential", "mu": 1e308, "sigma2": 1}, "expected inf"),
+        ],
+    )
+    def test_beyond_float_range_domain_error(self, capsys, spec, message):
+        document = {"k": 20, "seed": 0, "distributions": [spec]}
+        code, out, err = run(
+            capsys, "generate", "--input", json.dumps(document), "--format", "json"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
     def test_closed_stdout_exit_one(self):
         document = {"k": 200000, "distributions": [{"family": "exponential", "mu": 1}]}
         src = Path(__file__).resolve().parent.parent / "src"

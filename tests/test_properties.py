@@ -7,7 +7,7 @@ float inputs get machine-precision bounds instead.
 
 import math
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gutheory import (
     DiscreteGUVariable,
@@ -100,6 +100,31 @@ def float_spaces(draw):
         )
     except ValidationError:
         assume(False)
+
+
+# Endpoints on a 0.01 grid, so gaps fall exactly on grid deltas, plus the
+# signed zero and values near the ends of the float range.
+window_endpoints = st.one_of(
+    st.integers(-100, 100).map(lambda k: k / 100),
+    st.sampled_from([-0.0, 1e300, -1e300]),
+)
+
+
+@st.composite
+def classing_items(draw):
+    """Up to 200 proper pairs, some of them repeated.
+
+    The sizes are drawn first, because Hypothesis keeps free-sized lists
+    short and a short list never reaches a window edge.
+    """
+    n = draw(st.integers(0, 160))
+    pair = st.tuples(window_endpoints, window_endpoints).map(lambda p: tuple(sorted(p)))
+    pairs = draw(st.lists(pair, min_size=n, max_size=n))
+    if pairs:
+        r = draw(st.integers(0, 40))
+        repeats = draw(st.lists(st.integers(0, n - 1), min_size=r, max_size=r))
+        pairs += [pairs[i] for i in repeats]
+    return draw(st.permutations(pairs))
 
 
 def event_from_mask(space, mask):
@@ -419,3 +444,28 @@ class TestClassifyInvariants:
             later = [i for other in classes[k + 1:] for i in other]
             for i in later:
                 assert not delta_neighbour(items[pivot], items[i], delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        classing_items(),
+        st.one_of(
+            st.just(0.0),
+            st.integers(0, 200).map(lambda k: k / 100),
+            st.just(1e308),
+        ),
+    )
+    # The float gap 1 - (-2**-54) rounds down to delta = 1, so the second
+    # item joins although its exact gap exceeds delta.
+    @example([(1.0, 1.0), (-(2.0**-54), -(2.0**-54))], 1.0)
+    def test_equals_full_greedy_sweep(self, pairs, delta):
+        items = [GUInterval(a, b) for a, b in pairs]
+        expected = []
+        remaining = list(range(len(items)))
+        while remaining:
+            pivot = remaining[0]
+            members = [
+                i for i in remaining if delta_neighbour(items[pivot], items[i], delta)
+            ]
+            expected.append(members)
+            remaining = [i for i in remaining if i not in members]
+        assert classify(items, delta) == expected
