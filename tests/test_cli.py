@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from gutheory.algorithms import MAX_K
 from gutheory.cli import main
 from gutheory.schemas import (
     CLUSTER_REPORT_SCHEMA,
@@ -216,6 +218,22 @@ class TestCluster:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "float range" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("delta", ["inf", "-inf", "1e400"])
+    def test_infinite_delta_domain_error(self, capsys, fmt, delta):
+        code, out, err = run(
+            capsys,
+            "cluster",
+            "--input",
+            json.dumps(self.DOCUMENT),
+            f"--delta={delta}",
+            "--format",
+            fmt,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_float_rounding_in_output(self, capsys):
         document = {"delta": 0.30000000000000004, "items": []}
         code, out, _ = run(
@@ -290,6 +308,16 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "--input", json.dumps(document))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "schema" in err
+
+    @pytest.mark.parametrize("k", [MAX_K + 1, 1e20])
+    def test_length_above_ceiling_fails_schema(self, capsys, k):
+        document = dict(self.DOCUMENT, k=k)
+        code, out, err = run(capsys, "generate", "--input", json.dumps(document))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: input does not match the schema at $.k: "
+            f"{k!r} is greater than the maximum of {MAX_K}\n"
+        )
 
     def test_negative_seed_flag_domain_error(self, capsys):
         code, out, err = run(
@@ -392,6 +420,77 @@ class TestValidate:
     def test_empty_atoms_fails_schema(self, capsys):
         code, _, err = run(capsys, "validate", "--input", '{"atoms": [], "gum": {}}')
         assert code == 2 and "schema" in err
+
+
+@pytest.mark.parametrize(
+    "command, document, where",
+    [
+        (
+            "decide",
+            {"natures": [{"name": "a", "gum": [0.1]}], "schemes": PROBLEM["schemes"]},
+            "$.natures[0].gum: [0.1] is too short",
+        ),
+        (
+            "decide",
+            {
+                "natures": PROBLEM["natures"],
+                "schemes": [{"name": "x", "payoffs": [True]}],
+            },
+            "$.schemes[0].payoffs[0]: True is not of type 'number'",
+        ),
+        (
+            "cluster",
+            {"delta": 0.1, "items": [], "x": 1},
+            "$: Additional properties are not allowed ('x' was unexpected)",
+        ),
+        (
+            "generate",
+            {"k": 2, "distributions": [{"family": "normal", "mu": 0}]},
+            "$.distributions[0]: 'sigma2' is a required property",
+        ),
+        (
+            "validate",
+            {"atoms": ["a", "a"], "gum": {"a": [0.5, 1.0]}},
+            "$.atoms: ['a', 'a'] has non-unique elements",
+        ),
+    ],
+)
+def test_schema_error_text(capsys, command, document, where):
+    code, out, err = run(capsys, command, "--input", json.dumps(document))
+    assert code == 2 and out == ""
+    assert err == f"error: input does not match the schema at {where}\n"
+
+
+def test_runs_without_jsonschema():
+    runs = [
+        ["decide", "--input", json.dumps(PROBLEM)],
+        ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
+        ["generate", "--input", json.dumps(TestGenerate.DOCUMENT)],
+        ["validate", "--input", json.dumps(SPACE)],
+    ]
+    script = textwrap.dedent(f"""
+        import sys
+        from gutheory.cli import main
+        for argv in {runs!r}:
+            code = main(argv)
+            assert code == 0, (argv, code)
+            assert "jsonschema" not in sys.modules, argv
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
 
 
 class TestEntryPoint:

@@ -15,6 +15,18 @@ import pytest
 
 from gutheory.schemas import PUBLISHED
 
+INPUTS = {name: schema for name, schema in PUBLISHED.items() if name.endswith("_input")}
+
+# Every keyword and type name ``schemas.first_violation`` interprets, and
+# the annotations it may skip.
+CHECKED = {
+    "type", "enum", "const", "minimum", "maximum", "minLength",
+    "required", "properties", "additionalProperties",
+    "items", "prefixItems", "minItems", "uniqueItems", "if", "then",
+}
+ANNOTATIONS = {"$schema", "title"}
+TYPES = {"object", "array", "string", "number", "integer"}
+
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
 
@@ -33,3 +45,25 @@ def test_no_unexpected_schema_files():
 @pytest.mark.parametrize("name", sorted(PUBLISHED))
 def test_schemas_are_valid_draft_2020_12(name):
     jsonschema.Draft202012Validator.check_schema(PUBLISHED[name])
+
+
+def _subschemas(schema):
+    yield schema
+    for keyword, rule in schema.items():
+        if keyword == "properties":
+            nested = list(rule.values())
+        elif keyword == "prefixItems":
+            nested = rule
+        elif isinstance(rule, dict):
+            nested = [rule]
+        else:
+            nested = []
+        for sub in nested:
+            yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_input_schemas_use_only_checked_keywords(name):
+    for sub in _subschemas(INPUTS[name]):
+        assert set(sub) <= CHECKED | ANNOTATIONS, sub
+        assert sub.get("type", "object") in TYPES, sub
