@@ -1,7 +1,7 @@
 """Sequence generation from distribution mixtures, and neighbourhood classing.
 
-Randomness comes from NumPy's ``default_rng`` (the PCG64 bit generator).
-The draw order inside :func:`generate_sequence` is part of the contract:
+Randomness comes from NumPy's ``default_rng`` (PCG64), which only
+:func:`generate_sequence` imports.  Its draw order is part of the contract:
 identical seeds give identical sequences across runs and platforms.
 """
 
@@ -13,8 +13,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError, IntervalError
 from .intervals import IntervalLike, as_interval, delta_neighbour
 
@@ -23,6 +21,10 @@ FAMILIES = ("normal", "uniform", "exponential")
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three normals, ``gut generate`` peaks at about 285 MB of resident memory.
 MAX_K = 1_000_000
+
+#: The most candidate draws (``k`` times the number of distributions) that
+#: ``generate_sequence`` makes; memory grows with this product.
+MAX_DRAWS = 3 * MAX_K
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,7 +92,7 @@ class DistributionSpec:
             ) from None
         return cls(family=family, mu=mu, sigma2=data.get("sigma2"))
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng) -> float:
         if self.family == "normal":
             return float(rng.normal(self.mu, math.sqrt(self.sigma2)))
         if self.family == "uniform":
@@ -132,8 +134,15 @@ def generate_sequence(
         raise ConfigurationError(f"sequence length must be positive, got {k}")
     if k > MAX_K:
         raise ConfigurationError(f"sequence length must be at most {MAX_K}, got {k}")
+    if k * len(specs) > MAX_DRAWS:
+        raise ConfigurationError(
+            f"k times the number of distributions must be at most {MAX_DRAWS}, "
+            f"got {k} * {len(specs)}"
+        )
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    # Imported here so that no other command pays numpy's import time.
+    import numpy as np
     rng = np.random.default_rng(seed)
     rows = [[spec.sample(rng) for spec in specs] for _ in range(k)]
     picks = rng.integers(0, len(specs), size=k)

@@ -290,6 +290,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The parser, or on newer interpreters the schema check, ran out of
+        # stack on a deeply nested document.
+        print("error: the document is nested too deeply", file=sys.stderr)
+        return 2
     try:
         text, code = handler(document, args)
     except GutError as err:

@@ -227,13 +227,13 @@ def decide(problem: DecisionProblem) -> DecisionReport:
         selected = next((i for i in range(m) if wins(i, _DOMINANT)), None)
         rationale = SelectionRationale.WEAKLY_ADVANTAGE
     if selected is None:
+        # Domination strictly raises the right endpoint, so the scheme with
+        # the largest one is never dominated and survivors is never empty.
         survivors = [
             i
             for i in range(m)
             if not any(relations[j][i] in _DOMINANT for j in range(m) if j != i)
         ]
-        if not survivors:
-            survivors = list(range(m))
         if problem.attitude is None:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "

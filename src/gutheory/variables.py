@@ -8,9 +8,9 @@ questions: limits, derivatives, increments and integrals are computed per
 core and bracketed.
 
 Mass laws follow the coherent/strict normalization law of measure spaces,
-:func:`gutheory.spaces.sum_law_violations`.  Endpoint sums go through
-:func:`gutheory.intervals.endpoint_sum`; quadrature is the composite
-trapezoid rule on the envelope's own grid.
+:func:`gutheory.spaces.sum_law_violations`.  Endpoint sums, the composite
+trapezoid rule on each envelope's own grid included, go through
+:func:`gutheory.intervals.endpoint_sum`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     ConfigurationError,
@@ -290,12 +288,13 @@ class GUFunctionEnvelope:
                 return problems
         return problems
 
-    def grid(self, a: float | None = None, b: float | None = None) -> np.ndarray:
-        """Evaluation grid of :data:`RESOLUTION` points over ``[a, b]``
-        (defaulting to the whole domain)."""
+    def grid(self, a: float | None = None, b: float | None = None) -> list[float]:
+        """Evaluation grid of :data:`RESOLUTION` evenly spaced points over
+        ``[a, b]`` (defaulting to the whole domain)."""
         lo = self.domain[0] if a is None else a
         hi = self.domain[1] if b is None else b
-        return np.linspace(lo, hi, RESOLUTION)
+        step = (hi - lo) / (RESOLUTION - 1)
+        return [lo + i * step for i in range(RESOLUTION - 1)] + [hi]
 
     def _contains(self, x: float) -> bool:
         return self.domain[0] <= x <= self.domain[1]
@@ -397,6 +396,13 @@ def gu_variation(env: GUFunctionEnvelope, x0: float, delta: float) -> GUInterval
     )
 
 
+def _trapezoid(xs: list[float], pairs: Iterable[Sequence[float]]) -> GUInterval:
+    """Trapezoid rule on ``xs``: each point's pair weighs half the gaps beside it."""
+    gaps = [0.0] + [b - a for a, b in zip(xs, xs[1:])] + [0.0]
+    weights = [(before + after) / 2 for before, after in zip(gaps, gaps[1:])]
+    return endpoint_sum((GUInterval(*pair) for pair in pairs), weights)
+
+
 def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:
     """Interval integral over ``[a, b]`` by the trapezoid rule on a fresh
     grid of :data:`RESOLUTION` points."""
@@ -405,9 +411,7 @@ def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:
     if a > b:
         raise EnvelopeError(f"integration bounds are reversed: [{a:.6g}, {b:.6g}]")
     xs = env.grid(a, b)
-    lows = np.array([env.lower(x) for x in xs])
-    highs = np.array([env.upper(x) for x in xs])
-    return GUInterval(float(np.trapezoid(lows, xs)), float(np.trapezoid(highs, xs)))
+    return _trapezoid(xs, ((env.lower(x), env.upper(x)) for x in xs))
 
 
 def density_expectation(env: GUFunctionEnvelope) -> GUInterval:
@@ -422,11 +426,7 @@ def density_expectation(env: GUFunctionEnvelope) -> GUInterval:
             f"expected a density envelope, got kind {env.kind!r}"
         )
     xs = env.grid()
-    weighted_low = np.array([x * env.lower(x) for x in xs])
-    weighted_high = np.array([x * env.upper(x) for x in xs])
-    low = float(np.trapezoid(np.minimum(weighted_low, weighted_high), xs))
-    high = float(np.trapezoid(np.maximum(weighted_low, weighted_high), xs))
-    return GUInterval(low, high)
+    return _trapezoid(xs, (sorted((x * env.lower(x), x * env.upper(x))) for x in xs))
 
 
 # ---------------------------------------------------------------------------

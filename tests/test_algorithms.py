@@ -12,7 +12,7 @@ from gutheory import (
     classify,
     generate_sequence,
 )
-from gutheory.algorithms import MAX_K
+from gutheory.algorithms import MAX_DRAWS, MAX_K
 
 
 class TestDistributionSpec:
@@ -138,6 +138,11 @@ class TestGenerateSequence:
     def test_length_above_ceiling_is_configuration_error(self, k):
         with pytest.raises(ConfigurationError, match="at most"):
             generate_sequence(self.SPECS, k)
+
+    def test_draws_above_ceiling_is_configuration_error(self):
+        specs = [DistributionSpec("normal", 0.0, 1.0)] * 4
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_DRAWS}"):
+            generate_sequence(specs, MAX_DRAWS // 4 + 1)
 
     def test_negative_seed_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gutheory.algorithms import MAX_K
+from gutheory.algorithms import MAX_DRAWS, MAX_K
 from gutheory.cli import main
 from gutheory.schemas import (
     CLUSTER_REPORT_SCHEMA,
@@ -319,6 +319,16 @@ class TestGenerate:
             f"{k!r} is greater than the maximum of {MAX_K}\n"
         )
 
+    def test_too_many_draws_domain_error(self, capsys):
+        normal = {"family": "normal", "mu": 0, "sigma2": 1}
+        document = dict(self.DOCUMENT, k=MAX_K, distributions=[normal] * 4)
+        code, out, err = run(capsys, "generate", "--input", json.dumps(document))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: k times the number of distributions must be at most "
+            f"{MAX_DRAWS}, got {MAX_K} * 4\n"
+        )
+
     def test_negative_seed_flag_domain_error(self, capsys):
         code, out, err = run(
             capsys, "generate", "--input", json.dumps(self.DOCUMENT), "--seed", "-1"
@@ -461,29 +471,80 @@ def test_schema_error_text(capsys, command, document, where):
     assert err == f"error: input does not match the schema at {where}\n"
 
 
-def test_runs_without_jsonschema():
-    runs = [
-        ["decide", "--input", json.dumps(PROBLEM)],
-        ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
-        ["generate", "--input", json.dumps(TestGenerate.DOCUMENT)],
-        ["validate", "--input", json.dumps(SPACE)],
-    ]
-    script = textwrap.dedent(f"""
-        import sys
-        from gutheory.cli import main
-        for argv in {runs!r}:
-            code = main(argv)
-            assert code == 0, (argv, code)
-            assert "jsonschema" not in sys.modules, argv
-    """)
+def _run_script(script: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
+
+
+def test_runs_without_jsonschema():
+    runs = [
+        ["decide", "--input", json.dumps(PROBLEM)],
+        ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
+        ["validate", "--input", json.dumps(SPACE)],
+        ["generate", "--input", json.dumps(TestGenerate.DOCUMENT)],
+    ]
+    proc = _run_script(f"""
+        import sys
+        from gutheory.cli import main
+        for argv in {runs!r}:
+            assert "numpy" not in sys.modules, argv
+            code = main(argv)
+            assert code == 0, (argv, code)
+            assert "jsonschema" not in sys.modules, argv
+        assert "numpy" in sys.modules
+    """)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_without_numpy():
+    runs = [
+        ["decide", "--input", json.dumps(PROBLEM)],
+        ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
+        ["validate", "--input", json.dumps(SPACE)],
+    ]
+    proc = _run_script(f"""
+        import sys
+        sys.modules["numpy"] = None
+        from gutheory import GUFunctionEnvelope, density_expectation, gu_integral
+        from gutheory.cli import main
+        for argv in {runs!r}:
+            assert main(argv) == 0, argv
+        env = GUFunctionEnvelope(
+            lambda x: 1.0, lambda x: 2.0, domain=(0.0, 1.0), kind="density"
+        )
+        assert abs(gu_integral(env, 0.0, 1.0).right - 2.0) <= 1e-12
+        assert abs(density_expectation(env).left - 0.5) <= 1e-12
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+# How deep the parser and the schema check reach before the stack runs out
+# depends on the interpreter, so only 20,000 levels, beyond every supported
+# one, pins the message; the rest pin the one-line exit-2 contract.
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("validate", '{"atoms": ' + "[" * 990 + "]" * 990 + ', "gum": {}}', None),
+        ("validate", '{"atoms": ' + "[" * 5000 + "]" * 5000 + ', "gum": {}}', None),
+        ("cluster", '{"items": ' + '{"a": ' * 3000 + "1" + "}" * 3000 + "}", None),
+        (
+            "decide",
+            '{"natures": ' + "[" * 20000 + "]" * 20000 + "}",
+            "error: the document is nested too deeply\n",
+        ),
+    ],
+    ids=["array-990", "array-5000", "object-3000", "array-20000"],
+)
+def test_deeply_nested_document_usage_error(capsys, command, document, message):
+    code, out, err = run(capsys, command, "--input", document)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == message
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -7,20 +7,27 @@ float inputs get machine-precision bounds instead.
 
 import math
 
+import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gutheory import (
+    DEFAULT_TOLERANCE,
+    DecisionProblem,
     DiscreteGUVariable,
     GUFunctionEnvelope,
     GUInterval,
+    NatureStatus,
     Relation,
+    Scheme,
     ValidationError,
     add,
     build_space,
     classify,
     compare,
     complement,
+    decide,
     delta_neighbour,
+    density_expectation,
     endpoint_sum,
     geu,
     gu_integral,
@@ -31,6 +38,8 @@ from gutheory import (
     sub,
     uncertainty_order,
 )
+from gutheory.decisions import ATTITUDES
+from gutheory.variables import RESOLUTION
 
 DEN = 1 << 20
 GRID = 1024
@@ -48,6 +57,14 @@ def proper_intervals(draw):
 def dyadic_intervals(draw):
     a, b = sorted((draw(st.integers(0, DEN)), draw(st.integers(0, DEN))))
     return GUInterval(a / DEN, b / DEN)
+
+
+@st.composite
+def coarse_intervals(draw):
+    """Intervals on a 1/16 grid, so endpoints tie with each other and with
+    tolerances on the same grid."""
+    a, b = sorted((draw(st.integers(0, 16)), draw(st.integers(0, 16))))
+    return GUInterval(a / 16, b / 16)
 
 
 @st.composite
@@ -173,6 +190,18 @@ class TestIntervalInvariants:
             and compare(b, c) is Relation.STRONGLY_SMALLER
         ):
             assert compare(a, c) is Relation.STRONGLY_SMALLER
+
+    @given(
+        st.one_of(coarse_intervals(), proper_intervals()),
+        st.one_of(coarse_intervals(), proper_intervals()),
+        st.one_of(
+            st.just(0.0), st.integers(0, 16).map(lambda k: k / 16), unit_floats
+        ),
+    )
+    def test_domination_raises_the_right_endpoint(self, i1, i2, tol):
+        # Why decide's stage 3 always has a survivor: domination is acyclic.
+        if compare(i1, i2, tol) in (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER):
+            assert i1.right - i2.right > tol
 
     @given(boundary_interval_pairs())
     def test_uncertainty_order_consistent_with_compare(self, pair):
@@ -365,6 +394,88 @@ class TestGeuInvariants:
 
 
 @st.composite
+def decision_problems(draw, positive=False):
+    """Problems mixing grid values, which tie often, with generic floats.
+
+    With ``positive``, every payoff is at least 1 and every left endpoint at
+    least 1/16, so every GEU lies strictly above ``[0, 0]`` by more than the
+    tolerance.
+    """
+    low = 1 if positive else 0
+    endpoint = st.one_of(
+        st.integers(low, 16).map(lambda k: k / 16), st.floats(low / 16, 1.0)
+    )
+    payoff = st.one_of(st.integers(low, 8).map(float), st.floats(low, 1000.0))
+    n = draw(st.integers(1, 4))
+    natures = tuple(
+        NatureStatus(f"N{j}", GUInterval(*sorted((draw(endpoint), draw(endpoint)))))
+        for j in range(n)
+    )
+    schemes = tuple(
+        Scheme(f"S{i}", tuple(draw(payoff) for _ in range(n)))
+        for i in range(draw(st.integers(1, 6)))
+    )
+    tolerances = [0.0, DEFAULT_TOLERANCE, 1 / 32] + ([] if positive else [0.5])
+    return DecisionProblem(
+        natures,
+        schemes,
+        attitude=draw(st.sampled_from(ATTITUDES)),
+        tolerance=draw(st.sampled_from(tolerances)),
+    )
+
+
+def _outcome(report):
+    return report.selected, report.rationale, report.note
+
+
+class TestDecideMetamorphic:
+    @given(decision_problems(), st.data())
+    def test_nature_permutation_changes_nothing(self, problem, data):
+        order = data.draw(st.permutations(range(len(problem.natures))))
+        permuted = DecisionProblem(
+            tuple(problem.natures[j] for j in order),
+            tuple(
+                Scheme(s.name, tuple(s.payoffs[j] for j in order))
+                for s in problem.schemes
+            ),
+            attitude=problem.attitude,
+            tolerance=problem.tolerance,
+        )
+        before, after = decide(problem), decide(permuted)
+        assert after.geus == before.geus
+        assert _outcome(after) == _outcome(before)
+
+    @given(decision_problems(), st.data())
+    def test_scheme_permutation_changes_selection_only_on_ties(self, problem, data):
+        order = data.draw(st.permutations(range(len(problem.schemes))))
+        permuted = DecisionProblem(
+            problem.natures,
+            tuple(problem.schemes[i] for i in order),
+            attitude=problem.attitude,
+            tolerance=problem.tolerance,
+        )
+        before, after = decide(problem), decide(permuted)
+        assert after.rationale == before.rationale
+        if after.selected != before.selected:
+            assert before.note is not None and after.note is not None
+
+    @given(decision_problems(positive=True))
+    def test_appending_a_dominated_scheme_changes_nothing(self, problem):
+        loser = Scheme("loser", (0.0,) * len(problem.natures))
+        extended = DecisionProblem(
+            problem.natures,
+            problem.schemes + (loser,),
+            attitude=problem.attitude,
+            tolerance=problem.tolerance,
+        )
+        after = decide(extended)
+        assert all(
+            row[-1] is Relation.STRONGLY_GREATER for row in after.relations[:-1]
+        )
+        assert _outcome(after) == _outcome(decide(problem))
+
+
+@st.composite
 def quadratic_envelopes(draw):
     coeffs = [draw(st.floats(-2.0, 2.0, allow_nan=False)) for _ in range(3)]
     gap = draw(st.floats(0.0, 1.0, allow_nan=False))
@@ -394,6 +505,59 @@ class TestCalculusInvariants:
         lo, hi = sorted((a, b))
         got = gu_integral(env, lo, hi)
         assert got.is_proper
+
+
+@st.composite
+def quadratic_densities(draw):
+    """Density envelopes on a drawn domain; the lower core is the square of
+    a line, so it is a nonnegative quadratic."""
+    a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    gap = draw(st.floats(0.0, 1.0))
+    lo = draw(st.floats(-10.0, 10.0))
+    width = draw(st.floats(1e-3, 20.0))
+
+    def lower(x):
+        return (a + b * x) ** 2
+
+    def upper(x):
+        return lower(x) + gap
+
+    return GUFunctionEnvelope(lower, upper, (lo, lo + width), kind="density")
+
+
+# numpy 2 renamed trapz to trapezoid; the reference runs on either.
+_np_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def _close_to_trapezoid(got, ys, xs):
+    ref = _np_trapezoid(ys, xs)
+    scale = _np_trapezoid(np.abs(ys), xs)
+    return abs(got - ref) <= 1e-12 * scale
+
+
+class TestQuadratureAgainstNumpy:
+    @settings(max_examples=60, deadline=None)
+    @given(quadratic_densities(), unit_floats, unit_floats)
+    # Here lo + 1024 * step rounds to 3.7000000000000006: the grid must end
+    # at hi itself, as linspace does.
+    @example(
+        GUFunctionEnvelope(lambda x: 1.0, lambda x: 2.0, (-1.6, 3.7), kind="density"),
+        0.0,
+        1.0,
+    )
+    def test_grid_and_trapezoid_match_numpy(self, env, s, t):
+        lo, hi = env.domain
+        assert env.grid() == np.linspace(lo, hi, RESOLUTION).tolist()
+        a, b = sorted(min(hi, lo + u * (hi - lo)) for u in (s, t))
+        xs = np.linspace(a, b, RESOLUTION)
+        got = gu_integral(env, a, b)
+        assert _close_to_trapezoid(got.left, np.array([env.lower(x) for x in xs]), xs)
+        assert _close_to_trapezoid(got.right, np.array([env.upper(x) for x in xs]), xs)
+        xs = np.linspace(lo, hi, RESOLUTION)
+        weighted = np.array([[x * env.lower(x), x * env.upper(x)] for x in xs])
+        got = density_expectation(env)
+        assert _close_to_trapezoid(got.left, weighted.min(axis=1), xs)
+        assert _close_to_trapezoid(got.right, weighted.max(axis=1), xs)
 
 
 @st.composite
