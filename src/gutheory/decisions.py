@@ -198,10 +198,18 @@ class DecisionReport:
 def relation_matrix(
     geus: Sequence[GUInterval], tol: float = DEFAULT_TOLERANCE
 ) -> tuple[tuple[Relation, ...], ...]:
-    """Pairwise comparison table; the diagonal is ``Equal``."""
-    return tuple(
-        tuple(compare(gi, gj, tol) for gj in geus) for gi in geus
-    )
+    """Pairwise comparison table; the diagonal is ``Equal``.
+
+    Each pair is classified once: a cell below the diagonal mirrors the
+    cell above it, since ``compare(b, a) is compare(a, b).mirrored``.
+    """
+    rows: list[tuple[Relation, ...]] = []
+    for i, gi in enumerate(geus):
+        rows.append(tuple(
+            rows[j][i].mirrored if j < i else compare(gi, gj, tol)
+            for j, gj in enumerate(geus)
+        ))
+    return tuple(rows)
 
 
 def decide(problem: DecisionProblem) -> DecisionReport:
@@ -238,7 +246,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "
                 "needed to choose among " +
-                ", ".join(problem.schemes[i].name for i in survivors)
+                ", ".join(repr(problem.schemes[i].name) for i in survivors)
             )
         widths = [gud(geus[i]) for i in survivors]
         target = min(widths) if problem.attitude == "averse" else max(widths)

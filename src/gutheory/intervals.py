@@ -213,22 +213,6 @@ class Relation(Enum):
         """The verdict with the argument order flipped."""
         return _MIRROR[self]
 
-    @property
-    def is_greater(self) -> bool:
-        return self in (
-            Relation.STRONGLY_GREATER,
-            Relation.WEAKLY_GREATER,
-            Relation.PARTLY_GREATER,
-        )
-
-    @property
-    def is_smaller(self) -> bool:
-        return self in (
-            Relation.STRONGLY_SMALLER,
-            Relation.WEAKLY_SMALLER,
-            Relation.PARTLY_SMALLER,
-        )
-
 
 _MIRROR = {
     Relation.EQUAL: Relation.EQUAL,
@@ -239,16 +223,6 @@ _MIRROR = {
     Relation.WEAKLY_SMALLER: Relation.WEAKLY_GREATER,
     Relation.WEAKLY_GREATER: Relation.WEAKLY_SMALLER,
 }
-
-
-def _lt(x: float, y: float, tol: float) -> bool:
-    """x < y beyond the tolerance."""
-    return y - x > tol
-
-
-def _le(x: float, y: float, tol: float) -> bool:
-    """x <= y up to the tolerance."""
-    return x - y <= tol
 
 
 def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> Relation:
@@ -268,7 +242,8 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     4. ``WeaklySmaller``     ``left1 <= left2`` and ``right1 <= right2``:
        both bounds shifted the same way.  ``WeaklyGreater`` mirrors it.
 
-    Strict tests mean "beyond ``tol``", loose ones "up to ``tol``".  The
+    Strict tests mean "beyond ``tol``" (``y - x > tol`` for ``x < y``),
+    loose ones "up to ``tol``" (``x - y <= tol`` for ``x <= y``).  The
     containment branch requires the left endpoint to move strictly: an
     interval sharing its left bound with a longer one counts as weakly
     smaller, not as contained.  That keeps the classifier consistent with
@@ -286,15 +261,15 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     eq_right = abs(b1 - b2) <= tol
     if eq_left and eq_right:
         return Relation.EQUAL
-    if _lt(b1, a2, tol):
+    if a2 - b1 > tol:
         return Relation.STRONGLY_SMALLER
-    if _lt(b2, a1, tol):
+    if a1 - b2 > tol:
         return Relation.STRONGLY_GREATER
-    if _lt(a2, a1, tol) and _le(b1, b2, tol):
+    if a1 - a2 > tol and b1 - b2 <= tol:
         return Relation.PARTLY_SMALLER
-    if _lt(a1, a2, tol) and _le(b2, b1, tol):
+    if a2 - a1 > tol and b2 - b1 <= tol:
         return Relation.PARTLY_GREATER
-    if _le(a1, a2, tol) and _le(b1, b2, tol):
+    if a1 - a2 <= tol and b1 - b2 <= tol:
         return Relation.WEAKLY_SMALLER
     return Relation.WEAKLY_GREATER
 

@@ -397,10 +397,15 @@ def gu_variation(env: GUFunctionEnvelope, x0: float, delta: float) -> GUInterval
 
 
 def _trapezoid(xs: list[float], pairs: Iterable[Sequence[float]]) -> GUInterval:
-    """Trapezoid rule on ``xs``: each point's pair weighs half the gaps beside it."""
+    """Trapezoid rule on ``xs``: each point's pair weighs half the gaps beside it.
+
+    The weights are the whole gaps and the sum is halved once, because
+    half of a subnormal gap can round to zero and drop its point.
+    """
     gaps = [0.0] + [b - a for a, b in zip(xs, xs[1:])] + [0.0]
-    weights = [(before + after) / 2 for before, after in zip(gaps, gaps[1:])]
-    return endpoint_sum((GUInterval(*pair) for pair in pairs), weights)
+    weights = [before + after for before, after in zip(gaps, gaps[1:])]
+    twice = endpoint_sum((GUInterval(*pair) for pair in pairs), weights)
+    return GUInterval(twice.left / 2, twice.right / 2)
 
 
 def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:

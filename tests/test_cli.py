@@ -101,6 +101,19 @@ class TestDecide:
         assert code == 1
         assert "attitude" in err
 
+    def test_attitude_error_quotes_names_on_one_line(self, capsys):
+        document = {
+            "natures": [{"name": "n", "gum": [0.2, 0.9]}],
+            "schemes": [
+                {"name": "x\ny", "payoffs": [1]},
+                {"name": "z", "payoffs": [1]},
+            ],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(document))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.endswith("needed to choose among 'x\\ny', 'z'\n")
+
     def test_domain_error_exit_one(self, capsys):
         document = {
             "natures": [{"name": "a", "gum": [0.1, 0.2]}],
@@ -463,12 +476,38 @@ class TestValidate:
             {"atoms": ["a", "a"], "gum": {"a": [0.5, 1.0]}},
             "$.atoms: ['a', 'a'] has non-unique elements",
         ),
+        (
+            "validate",
+            {"atoms": ["a"], "gum": {"a\nb": 5}},
+            "$.gum['a\\nb']: 5 is not of type 'array'",
+        ),
+        (
+            "validate",
+            {"atoms": ["a"], "gum": {"b\n": 5}},
+            "$.gum['b\\n']: 5 is not of type 'array'",
+        ),
     ],
 )
 def test_schema_error_text(capsys, command, document, where):
     code, out, err = run(capsys, command, "--input", json.dumps(document))
     assert code == 2 and out == ""
     assert err == f"error: input does not match the schema at {where}\n"
+
+
+@pytest.mark.parametrize(
+    "document, where",
+    [
+        ({"atoms": "x" * 1_000_000, "gum": {}}, "$.atoms: 'xxx"),
+        ({"atoms": ["a"], "gum": {"k" * 1_000_000: 5}}, "$.gum['kkk"),
+        ({"atoms": ["a"], "gum": {}, **{f"x{i}": 1 for i in range(100_000)}},
+         "$: Additional properties are not allowed ('x0', "),
+    ],
+)
+def test_schema_error_echo_is_bounded(capsys, document, where):
+    code, out, err = run(capsys, "validate", "--input", json.dumps(document))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: input does not match the schema at {where}")
+    assert err.count("\n") == 1 and len(err.encode()) <= 300
 
 
 def _run_script(script: str) -> subprocess.CompletedProcess:

@@ -38,7 +38,7 @@ TRAPS = st.sampled_from(
     [None, True, False, 0, 1, -1, 1.0, -0.0, 2.5, 1e20, 1e308, -1e308,
      10**400, math.nan, math.inf, -math.inf, "", "a", [], {}, [1, True]]
 )
-NAMES = st.sampled_from(["a", "b", "N1", "a b", "it's"])
+NAMES = st.sampled_from(["a", "b", "N1", "a b", "it's", "a\nb"])
 
 
 def rarely(common, rare, odds=30):
@@ -171,7 +171,8 @@ def test_checker_agrees_with_jsonschema(command, data):
     assert (found is None) == expected, found
     if found:
         path, reason = found
-        assert path.startswith("$") and reason and "\n" not in reason
+        assert path.startswith("$") and "\n" not in path
+        assert reason and "\n" not in reason
 
 
 def _flags(*options):

@@ -281,14 +281,6 @@ class TestCompare:
         for a, b in cases:
             assert compare(a, b).mirrored is compare(b, a)
 
-    def test_relation_flags(self):
-        assert Relation.STRONGLY_GREATER.is_greater
-        assert Relation.WEAKLY_GREATER.is_greater
-        assert Relation.PARTLY_GREATER.is_greater
-        assert Relation.STRONGLY_SMALLER.is_smaller
-        assert not Relation.EQUAL.is_greater
-        assert not Relation.EQUAL.is_smaller
-
 
 class TestUncertaintyOrder:
     def test_higher(self):

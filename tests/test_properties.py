@@ -8,6 +8,7 @@ float inputs get machine-precision bounds instead.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gutheory import (
@@ -16,6 +17,7 @@ from gutheory import (
     DiscreteGUVariable,
     GUFunctionEnvelope,
     GUInterval,
+    IntervalError,
     NatureStatus,
     Relation,
     Scheme,
@@ -38,7 +40,7 @@ from gutheory import (
     sub,
     uncertainty_order,
 )
-from gutheory.decisions import ATTITUDES
+from gutheory.decisions import ATTITUDES, relation_matrix
 from gutheory.variables import RESOLUTION
 
 DEN = 1 << 20
@@ -394,6 +396,44 @@ class TestGeuInvariants:
 
 
 @st.composite
+def tied_geu_lists(draw):
+    """A tolerance and 0 to 12 intervals, some of them copies of an earlier
+    one with each endpoint moved by up to that tolerance."""
+    tol = draw(st.one_of(
+        st.sampled_from([0.0, DEFAULT_TOLERANCE]),
+        st.integers(0, 16).map(lambda k: k / 16),
+        unit_floats,
+    ))
+    geus = draw(st.lists(st.one_of(coarse_intervals(), proper_intervals()), max_size=12))
+    for k in range(1, len(geus)):
+        if draw(st.booleans()):
+            base = geus[draw(st.integers(0, k - 1))]
+            left = base.left + tol * draw(unit_floats)
+            right = base.right + tol * draw(unit_floats)
+            geus[k] = GUInterval(*sorted((left, right)))
+    return geus, tol
+
+
+class TestRelationMatrix:
+    @given(tied_geu_lists())
+    def test_equals_every_pair_compared(self, drawn):
+        geus, tol = drawn
+        expected = tuple(tuple(compare(a, b, tol) for b in geus) for a in geus)
+        assert relation_matrix(geus, tol) == expected
+
+    @pytest.mark.parametrize(
+        "geus, tol",
+        [
+            ([GUInterval(0.6, 0.4)], DEFAULT_TOLERANCE),  # an inverse interval
+            ([GUInterval(0.1, 0.2)], math.nan),
+        ],
+    )
+    def test_one_interval_is_still_checked(self, geus, tol):
+        with pytest.raises(IntervalError):
+            relation_matrix(geus, tol)
+
+
+@st.composite
 def decision_problems(draw, positive=False):
     """Problems mixing grid values, which tie often, with generic floats.
 
@@ -507,14 +547,9 @@ class TestCalculusInvariants:
         assert got.is_proper
 
 
-@st.composite
-def quadratic_densities(draw):
-    """Density envelopes on a drawn domain; the lower core is the square of
-    a line, so it is a nonnegative quadratic."""
-    a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    gap = draw(st.floats(0.0, 1.0))
-    lo = draw(st.floats(-10.0, 10.0))
-    width = draw(st.floats(1e-3, 20.0))
+def quadratic_density(a, b, gap, lo, width):
+    """A density envelope on ``[lo, lo + width]``; the lower core is the
+    square of a line, so it is a nonnegative quadratic."""
 
     def lower(x):
         return (a + b * x) ** 2
@@ -525,14 +560,33 @@ def quadratic_densities(draw):
     return GUFunctionEnvelope(lower, upper, (lo, lo + width), kind="density")
 
 
+def quadratic_densities():
+    return st.builds(
+        quadratic_density,
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+        st.floats(0.0, 1.0),
+        st.floats(-10.0, 10.0),
+        st.floats(1e-3, 20.0),
+    )
+
+
 # numpy 2 renamed trapz to trapezoid; the reference runs on either.
 _np_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+# Below 2**-1022 every float is a multiple of the unit u = 2**-1074 and a
+# relative bound means nothing: 1e-12 of a subnormal integral is below u.
+# numpy rounds each of its RESOLUTION - 1 segment terms d * (y0 + y1) / 2
+# twice, by up to u / 2 each time; the rule under test rounds each of its
+# RESOLUTION weighted terms by up to u / 2 and then halves the sum.  The two
+# differ by at most about 1.25 u per grid point, so allow 2 u.
+_SUBNORMAL_FLOOR = 2 * RESOLUTION * math.ulp(0.0)
 
 
 def _close_to_trapezoid(got, ys, xs):
     ref = _np_trapezoid(ys, xs)
     scale = _np_trapezoid(np.abs(ys), xs)
-    return abs(got - ref) <= 1e-12 * scale
+    return abs(got - ref) <= 1e-12 * scale + _SUBNORMAL_FLOOR
 
 
 class TestQuadratureAgainstNumpy:
@@ -545,6 +599,12 @@ class TestQuadratureAgainstNumpy:
         0.0,
         1.0,
     )
+    # Subnormal integrands, where only the absolute floor holds.
+    @example(quadratic_density(0.0, 1e-155, 0.0, 0.0, 0.5), 0.0, 0.5)
+    @example(quadratic_density(0.0, 0.0, 2.2250738585072014e-308, 0.0, 1e-3), 0.0, 0.75)
+    @example(quadratic_density(1e-156, -1e-156, 0.0, -2.225073858507e-311, 3.0), 0.0, 1.0)
+    # The window [0, 5e-324], whose half gaps round to zero.
+    @example(quadratic_density(2.0, 0.0, 1.0, 0.0, 0.5), 0.0, 1e-323)
     def test_grid_and_trapezoid_match_numpy(self, env, s, t):
         lo, hi = env.domain
         assert env.grid() == np.linspace(lo, hi, RESOLUTION).tolist()

@@ -302,6 +302,13 @@ class TestCalculus:
         part = gu_integral(env, 0.25, 0.75)
         assert part.right == pytest.approx(0.5, abs=1e-12)
 
+    def test_integral_over_the_smallest_window(self):
+        # Half of the one nonzero gap, 5e-324, rounds to zero.
+        env = GUFunctionEnvelope(
+            lower=lambda x: 1.0, upper=lambda x: 3.0, domain=(0.0, 1.0)
+        )
+        assert gu_integral(env, 0.0, 5e-324) == GUInterval(5e-324, 1.5e-323)
+
     def test_integral_quadratic(self, square_env):
         got = gu_integral(square_env, 0.0, 1.0)
         assert got.left == pytest.approx(1.0 / 3.0, abs=1e-5)
