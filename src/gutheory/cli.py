@@ -32,7 +32,7 @@ from .decisions import (
     render_decision_table,
     report_to_dict,
 )
-from .errors import GutError, IntervalError
+from .errors import GutError, IntervalError, brief
 from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
@@ -53,8 +53,7 @@ def _reject_constant(token: str):
 
 
 def _beyond_float_range(token: str) -> _UsageError:
-    shown = token if len(token) <= 24 else f"{token[:21]}..."
-    return _UsageError(f"number {shown} lies beyond the float range")
+    return _UsageError(f"number {brief(token)} lies beyond the float range")
 
 
 def _parse_float(token: str) -> float:

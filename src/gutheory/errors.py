@@ -9,6 +9,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
+#: How many characters of an input value or name an error message shows.
+SHOWN = 80
+
+
+def brief(text: str) -> str:
+    """``text`` cut to :data:`SHOWN` characters, so an error line stays short."""
+    return text if len(text) <= SHOWN else f"{text[:SHOWN - 3]}..."
+
 
 class GutError(ValueError):
     """Base class for every domain error raised by this package."""

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Sequence, Union
 
-from .errors import IntervalError
+from .errors import IntervalError, brief
 
 #: Comparison slack used by every tolerance-aware predicate in the package.
 DEFAULT_TOLERANCE = 1e-9
@@ -73,7 +73,10 @@ class GUInterval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.left + self.right)
+        total = self.left + self.right
+        # The sum overflows only when both endpoints are so large that
+        # halving each of them first is exact.
+        return 0.5 * total if math.isfinite(total) else 0.5 * self.left + 0.5 * self.right
 
     def __str__(self) -> str:
         return f"[{self.left:g}, {self.right:g}]"
@@ -92,10 +95,10 @@ def as_interval(value: IntervalLike) -> GUInterval:
     if isinstance(value, GUInterval):
         return value
     try:
-        left, right = value
-    except (TypeError, ValueError) as exc:
-        raise IntervalError(f"cannot read {value!r} as an interval") from exc
-    return GUInterval(float(left), float(right))
+        left, right = map(float, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IntervalError(f"cannot read {brief(repr(value))} as an interval") from exc
+    return GUInterval(left, right)
 
 
 def add(i1: GUInterval, i2: GUInterval) -> GUInterval:
@@ -272,30 +275,3 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     if a1 - a2 <= tol and b1 - b2 <= tol:
         return Relation.WEAKLY_SMALLER
     return Relation.WEAKLY_GREATER
-
-
-@unique
-class SystemOrder(Enum):
-    """How the uncertainty of a second system relates to a first one."""
-
-    HIGHER = "Higher"
-    LOWER = "Lower"
-    INCOMPARABLE = "Incomparable"
-
-
-def uncertainty_order(
-    i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE
-) -> SystemOrder:
-    """Rank the uncertainty carried by two systems' measures.
-
-    The second system counts as higher-order uncertain than the first when
-    its measure is strongly greater, lower-order when strongly smaller.
-    Anything short of strong separation is reported as incomparable rather
-    than forced into a ranking.
-    """
-    rel = compare(i2, i1, tol)
-    if rel is Relation.STRONGLY_GREATER:
-        return SystemOrder.HIGHER
-    if rel is Relation.STRONGLY_SMALLER:
-        return SystemOrder.LOWER
-    return SystemOrder.INCOMPARABLE

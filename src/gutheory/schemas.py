@@ -8,7 +8,7 @@ errors.  The report schemas describe what each subcommand prints with
 
 :func:`first_violation` checks a document against an input schema with
 the standard library alone.  It interprets only the keywords the input
-schemas use: ``type``, ``enum``, ``const``, ``minimum``, ``maximum``,
+schemas use: ``type``, ``enum``, ``minimum``, ``maximum``,
 ``minLength``, ``required``, ``properties``, ``additionalProperties``,
 ``items`` (a schema or ``false``), ``prefixItems``, ``minItems``,
 ``uniqueItems`` and ``if``/``then``, and the types ``object``, ``array``,
@@ -24,6 +24,7 @@ import re
 
 from .algorithms import FAMILIES, MAX_K
 from .decisions import ATTITUDES, SelectionRationale
+from .errors import brief
 from .intervals import Relation
 from .spaces import MODES
 
@@ -251,15 +252,6 @@ _PLAIN_NAME = re.compile("[a-zA-Z][a-zA-Z0-9_]*")
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
-#: How many characters of a document's value or key an error line shows.
-_SHOWN = 80
-
-
-def _brief(text: str) -> str:
-    """``text`` cut to :data:`_SHOWN` characters, so an error line stays short."""
-    return text if len(text) <= _SHOWN else f"{text[:_SHOWN - 3]}..."
-
-
 def _is_type(value, name: str) -> bool:
     if name not in ("number", "integer"):
         return isinstance(value, _TYPES[name])
@@ -281,42 +273,40 @@ def _key(value):
 def _reason(keyword: str, rule, value, schema: dict) -> str | None:
     """What ``value`` breaks of one keyword at its own level, if anything."""
     if keyword == "type" and not _is_type(value, rule):
-        return f"{_brief(repr(value))} is not of type {rule!r}"
+        return f"{brief(repr(value))} is not of type {rule!r}"
     if keyword == "enum" and _key(value) not in set(map(_key, rule)):
-        return f"{_brief(repr(value))} is not one of {rule!r}"
-    if keyword == "const" and _key(value) != _key(rule):
-        return f"{rule!r} was expected"
+        return f"{brief(repr(value))} is not one of {rule!r}"
     if keyword == "minimum" and _is_type(value, "number") and value < rule:
-        return f"{_brief(repr(value))} is less than the minimum of {rule!r}"
+        return f"{brief(repr(value))} is less than the minimum of {rule!r}"
     if keyword == "maximum" and _is_type(value, "number") and value > rule:
-        return f"{_brief(repr(value))} is greater than the maximum of {rule!r}"
+        return f"{brief(repr(value))} is greater than the maximum of {rule!r}"
     if (keyword == "minLength" and isinstance(value, str)
             or keyword == "minItems" and isinstance(value, list)) and len(value) < rule:
         verdict = "should be non-empty" if rule == 1 else "is too short"
-        return f"{_brief(repr(value))} {verdict}"
+        return f"{brief(repr(value))} {verdict}"
     if keyword == "uniqueItems" and rule and isinstance(value, list):
         if len(set(map(_key, value))) < len(value):
-            return f"{_brief(repr(value))} has non-unique elements"
+            return f"{brief(repr(value))} has non-unique elements"
     if keyword == "items" and rule is False and isinstance(value, list):
         n = len(schema.get("prefixItems", ()))
         if len(value) > n:
             rest = value[n] if len(value) == n + 1 else value[n:]
             return (f"Expected at most {n} item{'s' * (n != 1)} "
-                    f"but found {len(value) - n} extra: {_brief(repr(rest))}")
+                    f"but found {len(value) - n} extra: {brief(repr(rest))}")
     if keyword == "required" and isinstance(value, dict):
         missing = [name for name in rule if name not in value]
         return f"{missing[0]!r} is a required property" if missing else None
     if keyword == "additionalProperties" and rule is False and isinstance(value, dict):
         extras = sorted(k for k in value if k not in schema.get("properties", {}))
         if extras:
-            listed = _brief(", ".join(map(repr, extras)))
+            listed = brief(", ".join(map(repr, extras)))
             verb = "was" if len(extras) == 1 else "were"
             return f"Additional properties are not allowed ({listed} {verb} unexpected)"
     return None
 
 
 def _member_path(path: str, key: str) -> str:
-    key = _brief(key)
+    key = brief(key)
     if _PLAIN_NAME.fullmatch(key):
         return f"{path}.{key}"
     quoted = key.replace("\\", "\\\\").replace("'", "\\'")

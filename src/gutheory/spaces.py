@@ -37,6 +37,7 @@ from .errors import (
     DegeneracyError,
     EventError,
     ValidationError,
+    brief,
 )
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -95,34 +96,36 @@ def axiom_violations(
 
     Returns one message per broken rule and an empty tuple for a valid
     space.  Collecting everything in one pass is what lets the command
-    line report a full diagnosis instead of the first failure.
+    line report a full diagnosis instead of the first failure.  A space
+    with more than :data:`MAX_ATOMS` atoms gets only that message, and
+    each echoed name or list is cut short, so the messages stay bounded.
     """
-    problems: list[str] = []
     atoms = tuple(atoms)
+    if len(atoms) > MAX_ATOMS:
+        return (f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS}",)
+    problems: list[str] = []
 
     if not atoms:
         problems.append("the atom list is empty")
     if len(set(atoms)) != len(atoms):
         seen: set[str] = set()
         dupes = sorted({a for a in atoms if a in seen or seen.add(a)})
-        problems.append(f"duplicate atoms: {dupes}")
-    if len(atoms) > MAX_ATOMS:
-        problems.append(f"{len(atoms)} atoms exceed the limit of {MAX_ATOMS}")
+        problems.append(f"duplicate atoms: {brief(repr(dupes))}")
     for a in atoms:
         if not isinstance(a, str) or not a:
-            problems.append(f"atom names must be non-empty strings, got {a!r}")
+            problems.append(f"atom names must be non-empty strings, got {brief(repr(a))}")
 
     missing = [a for a in atoms if a not in assignment]
     if missing:
-        problems.append(f"atoms without a measure: {missing}")
+        problems.append(f"atoms without a measure: {brief(repr(missing))}")
     extra = sorted(set(assignment) - set(atoms))
     if extra:
-        problems.append(f"measures for unknown atoms: {extra}")
+        problems.append(f"measures for unknown atoms: {brief(repr(extra))}")
 
     if mode not in MODES:
-        problems.append(f"unknown mode {mode!r}; expected one of {MODES}")
+        problems.append(f"unknown mode {brief(repr(mode))}; expected one of {MODES}")
     if not (isinstance(tolerance, (int, float)) and tolerance >= 0.0):
-        problems.append(f"tolerance must be nonnegative, got {tolerance!r}")
+        problems.append(f"tolerance must be nonnegative, got {brief(repr(tolerance))}")
         tolerance = DEFAULT_TOLERANCE
 
     usable: dict[str, GUInterval] = {}
@@ -132,11 +135,13 @@ def axiom_violations(
         try:
             iv = as_interval(assignment[a])
         except Exception:
-            problems.append(f"atom {a!r}: {assignment[a]!r} is not an interval")
+            problems.append(
+                f"atom {brief(repr(a))}: {brief(repr(assignment[a]))} is not an interval"
+            )
             continue
         if not iv.is_measure_valid:
             problems.append(
-                f"atom {a!r}: measure {iv} must satisfy 0 <= left <= right <= 1"
+                f"atom {brief(repr(a))}: measure {iv} must satisfy 0 <= left <= right <= 1"
             )
             continue
         usable[a] = iv
@@ -251,11 +256,6 @@ class GUMeasureSpace:
         return sub(add(self._sum(a), self._sum(b)), self._sum(a & b))
 
     # -- whole-space views ---------------------------------------------
-
-    @property
-    def total(self) -> GUInterval:
-        """Raw endpoint sums over all atoms (no axiom, no clipping)."""
-        return self._sum(frozenset(self.atoms))
 
     @property
     def is_degenerate(self) -> bool:

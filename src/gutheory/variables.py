@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     ConfigurationError,
@@ -116,10 +116,6 @@ class DiscreteGUVariable:
         return endpoint_sum(self.masses, self.values)
 
     @property
-    def total(self) -> GUInterval:
-        return endpoint_sum(self.masses)
-
-    @property
     def is_degenerate(self) -> bool:
         return all(gud(m) <= self.tolerance for m in self.masses)
 
@@ -193,17 +189,14 @@ def covariance(joint: JointDiscreteGUVariable) -> CovarianceResult:
     rows, cols = joint.marginals()
     e1 = endpoint_sum(rows, joint.row_values)
     e2 = endpoint_sum(cols, joint.col_values)
-    low = math.fsum(
-        (x - e1.left) * (y - e2.left) * joint.cells[i][j].left
-        for i, x in enumerate(joint.row_values)
-        for j, y in enumerate(joint.col_values)
+    raw = endpoint_sum(
+        GUInterval(
+            (x - e1.left) * (y - e2.left) * m.left,
+            (x - e1.right) * (y - e2.right) * m.right,
+        )
+        for x, row in zip(joint.row_values, joint.cells)
+        for y, m in zip(joint.col_values, row)
     )
-    high = math.fsum(
-        (x - e1.right) * (y - e2.right) * joint.cells[i][j].right
-        for i, x in enumerate(joint.row_values)
-        for j, y in enumerate(joint.col_values)
-    )
-    raw = GUInterval(low, high)
     return CovarianceResult(normalize(raw), not raw.is_proper)
 
 
@@ -252,6 +245,12 @@ class GUFunctionEnvelope:
         object.__setattr__(self, "domain", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             problems.append(f"domain must be a finite ordered pair, got {self.domain}")
+        elif not math.isfinite(hi - lo):
+            problems.append(f"domain [{lo}, {hi}] is wider than the float range")
+        elif (hi - lo) / (RESOLUTION - 1) == 0.0:
+            problems.append(
+                f"domain [{lo}, {hi}] is too narrow for a grid of {RESOLUTION} points"
+            )
         if self.kind not in ENVELOPE_KINDS:
             problems.append(
                 f"unknown kind {self.kind!r}; expected one of {ENVELOPE_KINDS}"
@@ -354,7 +353,9 @@ def _core_limit(env: GUFunctionEnvelope, core: Callable[[float], float], x0: flo
         raise ConvergenceError(
             f"one-sided limits disagree at x={x0:.6g}: {sides[0]:.6g} vs {sides[1]:.6g}"
         )
-    return math.fsum(sides) / len(sides)
+    # Halving before adding keeps limits near the float maximum finite; for
+    # normal floats it gives the same number as halving the sum.
+    return sides[0] / 2 + sides[-1] / 2
 
 
 def gu_derivative(env: GUFunctionEnvelope, x0: float) -> GUInterval:
@@ -467,46 +468,13 @@ def nested_limit(sequence: Iterable[IntervalLike]) -> NestedLimit:
                 f"({items[k - 1]})"
             )
     last = items[-1]
-    width = gud(last)
-    if len(items) > 1 and width > 0.0 and width >= gud(items[0]):
+    if len(items) > 1 and last.left < last.right and last == items[0]:
         raise ConvergenceError(
-            f"no width shrinkage across the sequence (first {gud(items[0]):.6g}, "
-            f"last {width:.6g})"
+            f"no width shrinkage across the sequence: the last interval {last} "
+            "equals the first"
         )
-    return NestedLimit(last.midpoint, 0.5 * width)
-
-
-# ---------------------------------------------------------------------------
-# Processes
-
-
-def _is_finite_number(t) -> bool:
-    try:
-        return math.isfinite(float(t))
-    except (TypeError, ValueError):
-        return False
-
-
-@dataclass(frozen=True)
-class GUProcess:
-    """A time-indexed family of discrete uncertain variables."""
-
-    variables: Mapping[float, DiscreteGUVariable]
-
-    def __post_init__(self) -> None:
-        if not self.variables:
-            raise ValidationError(["a process needs at least one time point"])
-        object.__setattr__(self, "variables", dict(self.variables))
-        bad = [t for t in self.variables if not _is_finite_number(t)]
-        if bad:
-            raise ValidationError([f"time points must be finite numbers: {bad}"])
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(sorted(self.variables))
-
-    def at(self, t: float) -> DiscreteGUVariable:
-        try:
-            return self.variables[t]
-        except KeyError:
-            raise KeyError(f"no variable at time {t!r}") from None
+    width = last.right - last.left
+    # A width beyond the float range is halved endpoint by endpoint, which
+    # is exact for endpoints that large.
+    half = 0.5 * width if math.isfinite(width) else 0.5 * last.right - 0.5 * last.left
+    return NestedLimit(last.midpoint, half)

@@ -444,6 +444,25 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--input", '{"atoms": [], "gum": {}}')
         assert code == 2 and "schema" in err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"atoms": [f"a{i}" for i in range(100_000)], "gum": {}},
+            {
+                "atoms": [f"a{i}" for i in range(100_000)],
+                "gum": {f"a{i}": [2, 3] for i in range(100_000)},
+            },
+            {"atoms": ["x" * 1_000_000, "b"], "gum": {"b": [1, 1]}},
+        ],
+        ids=["many-unmeasured", "many-out-of-range", "long-name"],
+    )
+    def test_violations_stay_short(self, capsys, document):
+        code, out, err = run(capsys, "validate", "--input", json.dumps(document))
+        assert code == 1
+        assert err.startswith("error: invalid space:")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert len(out.encode()) < 1024
+
 
 @pytest.mark.parametrize(
     "command, document, where",

@@ -147,8 +147,6 @@ def _changed(parts):
         ({"enum": [1]}, True),
         ({"enum": [1]}, 1.0),
         ({"enum": [True]}, 1),
-        ({"const": 1}, True),
-        ({"const": [1]}, [1.0]),
         (
             GENERATE_SCHEMA,
             {"k": MAX_K, "distributions": [{"family": "exponential", "mu": 1}]},

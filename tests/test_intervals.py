@@ -9,7 +9,6 @@ from gutheory import (
     GUInterval,
     IntervalError,
     Relation,
-    SystemOrder,
     add,
     as_interval,
     compare,
@@ -22,7 +21,6 @@ from gutheory import (
     mul,
     normalize,
     sub,
-    uncertainty_order,
 )
 
 
@@ -61,6 +59,14 @@ class TestConstruction:
             as_interval("nope")
         with pytest.raises(IntervalError):
             as_interval([0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("value", [["a", 1.0], [10**400, 1.0]])
+    def test_as_interval_unreadable_endpoint(self, value):
+        with pytest.raises(IntervalError):
+            as_interval(value)
+
+    def test_midpoint_near_the_float_maximum(self):
+        assert GUInterval(1.7e308, 1.7e308).midpoint == 1.7e308
 
     def test_str(self):
         assert str(GUInterval(0.1, 0.2)) == "[0.1, 0.2]"
@@ -280,17 +286,3 @@ class TestCompare:
         ]
         for a, b in cases:
             assert compare(a, b).mirrored is compare(b, a)
-
-
-class TestUncertaintyOrder:
-    def test_higher(self):
-        got = uncertainty_order(GUInterval(0.1, 0.2), GUInterval(0.5, 0.7))
-        assert got is SystemOrder.HIGHER
-
-    def test_lower(self):
-        got = uncertainty_order(GUInterval(0.5, 0.7), GUInterval(0.1, 0.2))
-        assert got is SystemOrder.LOWER
-
-    def test_incomparable_overlap(self):
-        got = uncertainty_order(GUInterval(0.1, 0.4), GUInterval(0.3, 0.7))
-        assert got is SystemOrder.INCOMPARABLE

@@ -17,7 +17,9 @@ from gutheory import (
     DiscreteGUVariable,
     GUFunctionEnvelope,
     GUInterval,
+    GutError,
     IntervalError,
+    JointDiscreteGUVariable,
     NatureStatus,
     Relation,
     Scheme,
@@ -27,18 +29,21 @@ from gutheory import (
     classify,
     compare,
     complement,
+    covariance,
     decide,
     delta_neighbour,
     density_expectation,
     endpoint_sum,
     geu,
+    gu_derivative,
     gu_integral,
+    gu_limit,
+    gu_variation,
     gud,
     inverse,
     nested_limit,
     normalize,
     sub,
-    uncertainty_order,
 )
 from gutheory.decisions import ATTITUDES, relation_matrix
 from gutheory.variables import RESOLUTION
@@ -205,14 +210,6 @@ class TestIntervalInvariants:
         if compare(i1, i2, tol) in (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER):
             assert i1.right - i2.right > tol
 
-    @given(boundary_interval_pairs())
-    def test_uncertainty_order_consistent_with_compare(self, pair):
-        i1, i2 = pair
-        order = uncertainty_order(i1, i2)
-        rel = compare(i2, i1)
-        assert (order.value == "Higher") == (rel is Relation.STRONGLY_GREATER)
-        assert (order.value == "Lower") == (rel is Relation.STRONGLY_SMALLER)
-
     @given(proper_intervals(), proper_intervals(), unit_floats, unit_floats)
     def test_delta_neighbour_symmetric_reflexive_monotone(self, i1, i2, d1, d2):
         assert delta_neighbour(i1, i1, d1)
@@ -307,7 +304,7 @@ class TestVariableInvariants:
     @given(dyadic_variables())
     def test_distribution_ends_at_total(self, variable):
         top = variable.values[-1]
-        assert variable.distribution_at(top) == variable.total
+        assert variable.distribution_at(top) == endpoint_sum(variable.masses)
 
     @given(dyadic_variables(), st.integers(-3, 6))
     def test_expectation_power_of_two_homogeneity(self, variable, k):
@@ -693,3 +690,167 @@ class TestClassifyInvariants:
             expected.append(members)
             remaining = [i for i in remaining if i not in members]
         assert classify(items, delta) == expected
+
+
+@st.composite
+def dyadic_joint_laws(draw):
+    """Coherent joint laws with cell masses on a 1/1024 grid and generic
+    support values."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = sorted(draw(st.sets(values, min_size=n, max_size=n)))
+    cols = sorted(draw(st.sets(values, min_size=m, max_size=m)))
+    cap = GRID // (n * m)
+    lefts = [draw(st.integers(0, cap)) for _ in range(n * m)]
+    bump = -(-(GRID - sum(lefts)) // (n * m))
+    masses = [
+        GUInterval(a / GRID, min(GRID, a + bump + draw(st.integers(0, 200))) / GRID)
+        for a in lefts
+    ]
+    cells = tuple(tuple(masses[i * m:(i + 1) * m]) for i in range(n))
+    return JointDiscreteGUVariable(tuple(rows), tuple(cols), cells)
+
+
+def _covariance_with_two_fsums(joint):
+    """Reference covariance: each raw endpoint is its own ``math.fsum``."""
+    rows, cols = joint.marginals()
+    e1 = endpoint_sum(rows, joint.row_values)
+    e2 = endpoint_sum(cols, joint.col_values)
+    cells = [
+        (x, y, joint.cells[i][j])
+        for i, x in enumerate(joint.row_values)
+        for j, y in enumerate(joint.col_values)
+    ]
+    raw = GUInterval(
+        math.fsum((x - e1.left) * (y - e2.left) * m.left for x, y, m in cells),
+        math.fsum((x - e1.right) * (y - e2.right) * m.right for x, y, m in cells),
+    )
+    return normalize(raw), not raw.is_proper
+
+
+class TestCovarianceReference:
+    @given(dyadic_joint_laws())
+    def test_equals_two_fsum_reference(self, joint):
+        assert covariance(joint) == _covariance_with_two_fsums(joint)
+
+
+# The library's numeric contract: on any finite input a public function
+# returns finite numbers or raises a GutError, never another exception.
+
+EXTREMES = [1.7e308, -1.7e308, 2.0**-1022, 5e-324, -5e-324, 0.0, -0.0]
+any_floats = st.one_of(
+    st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)
+)
+supports = st.lists(any_floats, min_size=1, max_size=3, unique=True).map(
+    lambda xs: tuple(sorted(xs))
+)
+
+
+def _numbers(result):
+    if isinstance(result, GUInterval):
+        return [result.left, result.right]
+    if isinstance(result, tuple):
+        return [x for part in result for x in _numbers(part)]
+    return [] if isinstance(result, bool) else [result]
+
+
+def _finite_or_gut_error(call):
+    try:
+        result = call()
+    except GutError:
+        return
+    assert all(math.isfinite(x) for x in _numbers(result)), result
+
+
+@st.composite
+def coherent_masses(draw, n):
+    """``n`` masses whose lower endpoints sum to at most 1; the upper
+    endpoints are often 1, so the law usually holds."""
+    lefts = [draw(st.floats(0.0, 1.0 / n)) for _ in range(n)]
+    rights = [draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) for _ in range(n)]
+    return tuple(GUInterval(a, max(a, b)) for a, b in zip(lefts, rights))
+
+
+@st.composite
+def extreme_joint_laws(draw):
+    rows, cols = draw(supports), draw(supports)
+    masses = draw(coherent_masses(len(rows) * len(cols)))
+    cells = tuple(masses[i * len(cols):(i + 1) * len(cols)] for i in range(len(rows)))
+    return rows, cols, cells
+
+
+@st.composite
+def linear_envelopes(draw):
+    """Arguments of an envelope whose cores are ``slope * x + intercept``
+    and that plus a gap, both undefined (NaN) at an optional hole, with
+    points to evaluate it at."""
+    lo, hi = sorted((draw(any_floats), draw(any_floats)))
+    between = st.floats(lo, hi) if lo < hi else st.just(lo)
+    slope = draw(st.one_of(st.just(0.0), any_floats))
+    intercept, gap = draw(any_floats), abs(draw(any_floats))
+    hole = draw(st.one_of(st.none(), between))
+    kind = draw(st.sampled_from(["free", "density"]))
+    inside = st.one_of(st.sampled_from([lo, hi, lo if hole is None else hole]), between)
+    points = (draw(inside), draw(inside), draw(inside), draw(any_floats))
+    return (lo, hi), (slope, intercept, gap, hole), kind, points
+
+
+@st.composite
+def extreme_chains(draw):
+    """Nested chains over the whole float range, sometimes shuffled out of
+    order."""
+    ends = sorted(draw(st.lists(any_floats, min_size=2, max_size=12)))
+    chain = [(ends[i], ends[-1 - i]) for i in range(len(ends) // 2)]
+    return draw(st.permutations(chain)) if draw(st.booleans()) else chain
+
+
+class TestNumericContract:
+    @given(supports, st.data())
+    def test_discrete_variable(self, values, data):
+        masses = data.draw(coherent_masses(len(values)))
+
+        def call():
+            variable = DiscreteGUVariable(values, masses)
+            return variable.expectation(), variable.distribution_at(values[-1])
+
+        _finite_or_gut_error(call)
+
+    @given(extreme_joint_laws())
+    @example(((-1e200, 1e200), (-1e200, 1e200), ((GUInterval(0.25, 0.25),) * 2,) * 2))
+    def test_covariance(self, law):
+        _finite_or_gut_error(lambda: covariance(JointDiscreteGUVariable(*law)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(linear_envelopes())
+    @example(((0.0, 1.0), (0.0, 1.7e308, 0.0, 0.3), "free", (0.3, 0.0, 1.0, 0.5)))
+    def test_envelope_calculus(self, drawn):
+        domain, (slope, intercept, gap, hole), kind, (x0, a, b, delta) = drawn
+
+        def lower(x):
+            return math.nan if x == hole else slope * x + intercept
+
+        def upper(x):
+            return lower(x) + gap
+
+        try:
+            env = GUFunctionEnvelope(lower, upper, domain, kind)
+        except GutError:
+            return
+        _finite_or_gut_error(lambda: gu_limit(env, x0))
+        _finite_or_gut_error(lambda: gu_derivative(env, x0))
+        _finite_or_gut_error(lambda: gu_variation(env, x0, delta))
+        _finite_or_gut_error(lambda: gu_integral(env, *sorted((a, b))))
+        if kind == "density":
+            _finite_or_gut_error(lambda: density_expectation(env))
+
+    @given(extreme_chains())
+    @example([(-1.7e308, 1.7e308)])
+    @example([(1.7e308, 1.7e308)])
+    def test_nested_limit(self, chain):
+        try:
+            got = nested_limit(chain)
+        except GutError:
+            return
+        last = chain[-1]
+        assert last[0] <= got.estimate <= last[1]
+        assert 0.0 <= got.error_bound < math.inf

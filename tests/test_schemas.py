@@ -20,7 +20,7 @@ INPUTS = {name: schema for name, schema in PUBLISHED.items() if name.endswith("_
 # Every keyword and type name ``schemas.first_violation`` interprets, and
 # the annotations it may skip.
 CHECKED = {
-    "type", "enum", "const", "minimum", "maximum", "minLength",
+    "type", "enum", "minimum", "maximum", "minLength",
     "required", "properties", "additionalProperties",
     "items", "prefixItems", "minItems", "uniqueItems", "if", "then",
 }

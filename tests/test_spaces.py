@@ -265,7 +265,7 @@ class TestDegenerate:
             assert sp.measure(event) == GUInterval(classical, classical)
 
     def test_total(self, space):
-        total = space.total
+        total = space.measure_raw(space.atoms)
         assert total.left == pytest.approx(0.8, abs=1e-15)
         assert total.right == pytest.approx(1.2, abs=1e-15)
 

@@ -11,12 +11,12 @@ from gutheory import (
     EnvelopeError,
     GUFunctionEnvelope,
     GUInterval,
-    GUProcess,
     IntervalError,
     JointDiscreteGUVariable,
     NestingError,
     ValidationError,
     covariance,
+    endpoint_sum,
     density_expectation,
     gu_derivative,
     gu_integral,
@@ -70,8 +70,8 @@ class TestDiscreteVariable:
         assert got.right == pytest.approx(0.5, abs=1e-15)
 
     def test_distribution_at_top_is_total(self, variable):
-        assert variable.distribution_at(3.0) == variable.total
-        assert variable.distribution_at(99.0) == variable.total
+        assert variable.distribution_at(3.0) == endpoint_sum(variable.masses)
+        assert variable.distribution_at(99.0) == endpoint_sum(variable.masses)
 
     def test_distribution_monotone(self, variable):
         xs = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
@@ -162,6 +162,16 @@ class TestJointAndCovariance:
         assert res.interval.left == pytest.approx(0.05, abs=1e-12)
         assert res.interval.right == pytest.approx(0.074, abs=1e-12)
 
+    def test_centred_products_beyond_float_range(self):
+        quarter = GUInterval(0.25, 0.25)
+        j = JointDiscreteGUVariable(
+            row_values=(-1e200, 1e200),
+            col_values=(-1e200, 1e200),
+            cells=((quarter, quarter), (quarter, quarter)),
+        )
+        with pytest.raises(IntervalError):
+            covariance(j)
+
     def test_marginals(self):
         j = JointDiscreteGUVariable(
             row_values=(0.0, 1.0),
@@ -233,6 +243,22 @@ class TestEnvelopeConstruction:
         with pytest.raises(ValidationError):
             GUFunctionEnvelope(lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "core, domain",
+        [(lambda x: x, (-1.7e308, 1.7e308)), (lambda x: 1.0, (-1e308, 1e308))],
+    )
+    def test_rejects_domain_wider_than_float_range(self, core, domain):
+        with pytest.raises(ValidationError) as err:
+            GUFunctionEnvelope(lower=core, upper=core, domain=domain)
+        assert err.value.violations == (
+            f"domain [{domain[0]}, {domain[1]}] is wider than the float range",
+        )
+
+    def test_rejects_domain_too_narrow_for_the_grid(self):
+        with pytest.raises(ValidationError) as err:
+            GUFunctionEnvelope(lower=lambda x: 1.0, upper=lambda x: 1.0, domain=(0.0, 5e-324))
+        assert "too narrow" in str(err.value)
+
     def test_rejects_non_finite_core(self):
         with pytest.raises(ValidationError):
             GUFunctionEnvelope(
@@ -263,6 +289,13 @@ class TestCalculus:
     def test_limit_is_evaluation(self, square_env):
         got = gu_limit(square_env, 1.0)
         assert got == GUInterval(1.0, 2.0)
+
+    def test_limit_averages_sides_near_the_float_maximum(self):
+        def core(x):
+            return math.nan if x == 0.3 else 1.7e308
+
+        env = GUFunctionEnvelope(lower=core, upper=core, domain=(0.0, 1.0))
+        assert gu_limit(env, 0.3) == GUInterval(1.7e308, 1.7e308)
 
     def test_limit_outside_domain(self, square_env):
         with pytest.raises(EnvelopeError):
@@ -378,6 +411,12 @@ class TestNestedLimit:
         with pytest.raises(ConvergenceError):
             nested_limit([[0.0, 1.0], [0.0, 1.0]])
 
+    def test_halves_beyond_the_float_range(self):
+        assert nested_limit([[-1.7e308, 1.7e308]]) == (0.0, 1.7e308)
+        assert nested_limit([[1.7e308, 1.7e308]]) == (1.7e308, 0.0)
+        wide = [[-1.7e308, 1.7e308], [-1.6e308, 1.6e308]]
+        assert nested_limit(wide) == (0.0, 1.6e308)
+
     def test_empty_sequence(self):
         with pytest.raises(IntervalError):
             nested_limit([])
@@ -385,19 +424,3 @@ class TestNestedLimit:
     def test_inverse_element(self):
         with pytest.raises(IntervalError):
             nested_limit([[0.0, 1.0], [0.75, 0.25]])
-
-
-class TestProcess:
-    def test_times_and_lookup(self, variable):
-        other = DiscreteGUVariable(
-            values=(0.0, 1.0), masses=(GUInterval(0.5, 0.5), GUInterval(0.5, 0.5))
-        )
-        proc = GUProcess({1.0: variable, 0.0: other})
-        assert proc.times == (0.0, 1.0)
-        assert proc.at(1.0) is variable
-        with pytest.raises(KeyError):
-            proc.at(2.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            GUProcess({})
