@@ -52,7 +52,7 @@ from .intervals import (
     normalize,
     sub,
 )
-from .spaces import GUMeasureSpace, axiom_violations, build_space
+from .spaces import GUMeasureSpace, axiom_violations
 from .variables import (
     CovarianceResult,
     DiscreteGUVariable,
@@ -102,7 +102,6 @@ __all__ = [
     "add",
     "as_interval",
     "axiom_violations",
-    "build_space",
     "classify",
     "compare",
     "complement",

@@ -81,7 +81,7 @@ def _load_document(source: str) -> dict:
         try:
             text = Path(source).read_text(encoding="utf-8")
         except OSError as exc:
-            raise _UsageError(f"cannot read {source!r}: {exc}") from None
+            raise _UsageError(f"cannot read {brief(repr(source))}: {exc.strerror}") from None
     try:
         document = json.loads(
             text,

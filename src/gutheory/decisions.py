@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
-from .errors import AttitudeRequiredError, ValidationError
+from .errors import AttitudeRequiredError, ValidationError, brief
 from .intervals import (
     DEFAULT_TOLERANCE,
     GUInterval,
+    IntervalLike,
     Relation,
     as_interval,
     compare,
@@ -99,24 +100,24 @@ class DecisionProblem:
         for n in self.natures:
             if not n.gum.is_measure_valid:
                 problems.append(
-                    f"status {n.name!r}: measure {n.gum} must lie inside [0, 1]"
+                    f"status {brief(repr(n.name))}: measure {n.gum} must lie inside [0, 1]"
                 )
         for s in self.schemes:
             if len(s.payoffs) != len(self.natures):
                 problems.append(
-                    f"scheme {s.name!r} has {len(s.payoffs)} payoffs for "
+                    f"scheme {brief(repr(s.name))} has {len(s.payoffs)} payoffs for "
                     f"{len(self.natures)} statuses"
                 )
             for p in s.payoffs:
                 if not math.isfinite(p) or p < 0.0:
                     problems.append(
-                        f"scheme {s.name!r}: payoffs must be finite and "
+                        f"scheme {brief(repr(s.name))}: payoffs must be finite and "
                         f"nonnegative, got {p}"
                     )
                     break
         if self.attitude is not None and self.attitude not in ATTITUDES:
             problems.append(
-                f"unknown attitude {self.attitude!r}; expected one of {ATTITUDES}"
+                f"unknown attitude {brief(repr(self.attitude))}; expected one of {ATTITUDES}"
             )
         if not self.tolerance >= 0.0:
             problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
@@ -151,16 +152,13 @@ class DecisionProblem:
         return cls(natures, schemes, attitude=attitude, tolerance=tolerance)
 
 
-def geu(
-    payoffs: Sequence[float],
-    natures: Sequence[Union[NatureStatus, GUInterval]],
-) -> GUInterval:
+def geu(payoffs: Sequence[float], measures: Sequence[IntervalLike]) -> GUInterval:
     """Generalized expected utility of one payoff row.
 
     Endpoint sums ``[sum p_j * left_j, sum p_j * right_j]`` over the
     status measures, via :func:`~gutheory.intervals.endpoint_sum`.
     """
-    measures = [n.gum if isinstance(n, NatureStatus) else as_interval(n) for n in natures]
+    measures = [as_interval(m) for m in measures]
     if len(payoffs) != len(measures):
         raise ValidationError(
             [f"{len(payoffs)} payoffs for {len(measures)} status measures"]
@@ -219,7 +217,8 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     holds a strong or weak advantage and the problem carries no attitude.
     """
     tol = problem.tolerance
-    geus = tuple(geu(s.payoffs, problem.natures) for s in problem.schemes)
+    measures = [n.gum for n in problem.natures]
+    geus = tuple(geu(s.payoffs, measures) for s in problem.schemes)
     relations = relation_matrix(geus, tol)
     m = len(problem.schemes)
     note = None
@@ -246,7 +245,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "
                 "needed to choose among " +
-                ", ".join(repr(problem.schemes[i].name) for i in survivors)
+                brief(", ".join(repr(problem.schemes[i].name) for i in survivors))
             )
         widths = [gud(geus[i]) for i in survivors]
         target = min(widths) if problem.attitude == "averse" else max(widths)

@@ -176,12 +176,15 @@ def gud(i: GUInterval) -> float:
     """Generalized uncertainty degree: the width ``right - left``.
 
     Zero exactly when the interval is degenerate, i.e. a classical
-    probability.  Refuses inverse intervals; normalize first if a bare
-    enclosure width is wanted.
+    probability.  Refuses inverse intervals (normalize first if a bare
+    enclosure width is wanted) and widths beyond the float range.
     """
     if not i.is_proper:
         raise IntervalError(f"uncertainty degree needs a proper interval, got {i}")
-    return i.right - i.left
+    width = i.right - i.left
+    if not math.isfinite(width):
+        raise IntervalError(f"the width of {i} lies beyond the float range")
+    return width
 
 
 def delta_neighbour(i1: GUInterval, i2: GUInterval, delta: float) -> bool:

@@ -155,7 +155,8 @@ def axiom_violations(
 class GUMeasureSpace:
     """An immutable finite space of interval measures.
 
-    Constructing one runs the full axiom check and raises
+    Constructing one runs the full axiom check, within
+    :data:`~gutheory.intervals.DEFAULT_TOLERANCE`, and raises
     :class:`~gutheory.errors.ValidationError` listing every violation.
     Plain ``[left, right]`` pairs in ``assignment`` are coerced to
     intervals.
@@ -164,11 +165,10 @@ class GUMeasureSpace:
     atoms: tuple[str, ...]
     assignment: Mapping[str, GUInterval]
     mode: str = "coherent"
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        problems = axiom_violations(self.atoms, self.assignment, self.mode, self.tolerance)
+        problems = axiom_violations(self.atoms, self.assignment, self.mode)
         if problems:
             raise ValidationError(problems)
         object.__setattr__(
@@ -181,7 +181,7 @@ class GUMeasureSpace:
         members = frozenset(event)
         unknown = members.difference(self.atoms)
         if unknown:
-            raise EventError(f"event names unknown atoms: {sorted(unknown)}")
+            raise EventError(f"event names unknown atoms: {brief(repr(sorted(unknown)))}")
         return members
 
     def _sum(self, members: frozenset[str]) -> GUInterval:
@@ -235,14 +235,14 @@ class GUMeasureSpace:
 
     def independent(self, event_a: Iterable[str], event_b: Iterable[str]) -> bool:
         """Test whether the joint measure factorizes endpoint-wise, within
-        the space's tolerance."""
+        :data:`~gutheory.intervals.DEFAULT_TOLERANCE`."""
         a = self._members(event_a)
         b = self._members(event_b)
         joint = self.measure(a & b)
         product = mul(self.measure(a), self.measure(b))
         return (
-            abs(joint.left - product.left) <= self.tolerance
-            and abs(joint.right - product.right) <= self.tolerance
+            abs(joint.left - product.left) <= DEFAULT_TOLERANCE
+            and abs(joint.right - product.right) <= DEFAULT_TOLERANCE
         )
 
     def union_measure(self, event_a: Iterable[str], event_b: Iterable[str]) -> GUInterval:
@@ -260,7 +260,7 @@ class GUMeasureSpace:
     @property
     def is_degenerate(self) -> bool:
         """True when every atom interval has width within tolerance."""
-        return all(gud(iv) <= self.tolerance for iv in self.assignment.values())
+        return all(gud(iv) <= DEFAULT_TOLERANCE for iv in self.assignment.values())
 
     def collapse_to_probability(self) -> dict[str, float]:
         """Collapse a degenerate space to a scalar probability mapping.
@@ -269,27 +269,12 @@ class GUMeasureSpace:
         returned.  Raises :class:`~gutheory.errors.DegeneracyError` naming
         the offending atoms otherwise.
         """
-        wide = [a for a in self.atoms if gud(self.assignment[a]) > self.tolerance]
+        wide = [a for a in self.atoms if gud(self.assignment[a]) > DEFAULT_TOLERANCE]
         if wide:
             raise DegeneracyError(
-                f"space is not degenerate; atoms with nonzero width: {wide}"
+                f"space is not degenerate; atoms with nonzero width: {brief(repr(wide))}"
             )
         return {a: self.assignment[a].left for a in self.atoms}
-
-
-def build_space(
-    atoms: Iterable[str],
-    assignment: Mapping[str, IntervalLike],
-    mode: str = "coherent",
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> GUMeasureSpace:
-    """Validate and build a measure space.
-
-    ``assignment`` values may be intervals or plain ``[left, right]``
-    pairs.  All violations are collected before anything is raised.
-    """
-    return GUMeasureSpace(atoms, assignment, mode, tolerance)
 
 
 def _clip01(x: float) -> float:

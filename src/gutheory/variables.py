@@ -39,15 +39,13 @@ from .intervals import (
 from .spaces import MODES, sum_law_violations
 
 
-def _law_violations(
-    masses: Sequence[GUInterval], mode: str, tolerance: float, what: str
-) -> list[str]:
+def _law_violations(masses: Sequence[GUInterval], mode: str, what: str) -> list[str]:
     """Mass-law checks for discrete and joint variables: every mass inside
     ``[0, 1]``, then the measure spaces' normalization law."""
     bad = [i for i, m in enumerate(masses) if not m.is_measure_valid]
     if bad:
         return [f"{what} at positions {bad} must lie inside [0, 1]"]
-    return sum_law_violations(masses, mode, tolerance, f"{what} endpoint")
+    return sum_law_violations(masses, mode, DEFAULT_TOLERANCE, f"{what} endpoint")
 
 
 def _values_violations(values: Sequence[float], what: str) -> list[str]:
@@ -71,7 +69,6 @@ class DiscreteGUVariable:
     values: tuple[float, ...]
     masses: tuple[GUInterval, ...]
     mode: str = "coherent"
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         problems = []
@@ -83,11 +80,9 @@ class DiscreteGUVariable:
             )
         if self.mode not in MODES:
             problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.tolerance >= 0.0:
-            problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
         problems += _values_violations(self.values, "support values")
         if not problems:
-            problems += _law_violations(self.masses, self.mode, self.tolerance, "mass")
+            problems += _law_violations(self.masses, self.mode, "mass")
         if problems:
             raise ValidationError(problems)
 
@@ -117,7 +112,7 @@ class DiscreteGUVariable:
 
     @property
     def is_degenerate(self) -> bool:
-        return all(gud(m) <= self.tolerance for m in self.masses)
+        return all(gud(m) <= DEFAULT_TOLERANCE for m in self.masses)
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,6 @@ class JointDiscreteGUVariable:
     col_values: tuple[float, ...]
     cells: tuple[tuple[GUInterval, ...], ...]
     mode: str = "coherent"
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         problems = []
@@ -149,11 +143,9 @@ class JointDiscreteGUVariable:
             problems.append("every cell row must match the column support length")
         if self.mode not in MODES:
             problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.tolerance >= 0.0:
-            problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
         if not problems:
             flat = [m for row in self.cells for m in row]
-            problems += _law_violations(flat, self.mode, self.tolerance, "cell mass")
+            problems += _law_violations(flat, self.mode, "cell mass")
         if problems:
             raise ValidationError(problems)
 
@@ -204,7 +196,7 @@ def covariance(joint: JointDiscreteGUVariable) -> CovarianceResult:
 # Function envelopes and their calculus
 
 
-ENVELOPE_KINDS = ("free", "unit", "density")
+ENVELOPE_KINDS = ("free", "density")
 
 _RANGE_SLACK = 1e-9
 
@@ -222,7 +214,6 @@ class GUFunctionEnvelope:
     additional range rule:
 
     * ``"free"``: no range constraint.
-    * ``"unit"``: both cores stay inside ``[0, 1]``.
     * ``"density"``: both cores are nonnegative.
 
     Every check and every calculus operation works on a grid of
@@ -276,11 +267,6 @@ class GUFunctionEnvelope:
                     f"lower core exceeds upper core at x={x:.6g} "
                     f"({f1:.6g} > {f2:.6g})"
                 )
-                return problems
-            if self.kind == "unit" and not (
-                -_RANGE_SLACK <= f1 and f2 <= 1.0 + _RANGE_SLACK
-            ):
-                problems.append(f"unit envelope leaves [0, 1] at x={x:.6g}")
                 return problems
             if self.kind == "density" and f1 < -_RANGE_SLACK:
                 problems.append(f"density core is negative at x={x:.6g}")

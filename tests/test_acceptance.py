@@ -30,7 +30,7 @@ from gutheory import (
     gu_derivative,
     gu_integral,
     nested_limit,
-    build_space,
+    GUMeasureSpace,
     add,
 )
 
@@ -172,7 +172,7 @@ def _random_dyadic_space(rng):
     bump = -(-(1024 - int(lefts.sum())) // n)
     rights = np.minimum(1024, lefts + bump + rng.integers(0, 201, size=n))
     atoms = [f"a{i}" for i in range(n)]
-    return build_space(
+    return GUMeasureSpace(
         atoms,
         {a: (lefts[i] / 1024.0, rights[i] / 1024.0) for i, a in enumerate(atoms)},
     )
@@ -184,7 +184,7 @@ def _random_float_space(rng):
     shortfall = max(0.0, 1.0 - math.fsum(lefts))
     rights = np.minimum(1.0, lefts + shortfall / n + rng.uniform(1e-6, 0.2, size=n))
     atoms = [f"a{i}" for i in range(n)]
-    return build_space(
+    return GUMeasureSpace(
         atoms, {a: (lefts[i], rights[i]) for i, a in enumerate(atoms)}
     )
 

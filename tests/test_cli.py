@@ -114,6 +114,25 @@ class TestDecide:
         assert err.count("\n") == 1
         assert err.endswith("needed to choose among 'x\\ny', 'z'\n")
 
+    @pytest.mark.parametrize(
+        "natures, schemes",
+        [
+            ([("n", [0.2, 0.9])], [("s" * 100_000 + "1", [1, 2]), ("s" * 100_000 + "2", [1, 2])]),
+            ([("s" * 100_000, [0.2, 1.5]), ("s" * 100_000, [0.2, 0.9])], [("x", [1, 1])]),
+            ([("n", [0.2, 0.9])], [("s" * 100_000 + "1", [1]), ("s" * 100_000 + "2", [1])]),
+        ],
+        ids=["long-scheme-names", "long-duplicate-statuses", "attitude-required"],
+    )
+    def test_long_names_stay_short_in_errors(self, capsys, natures, schemes):
+        document = {
+            "natures": [{"name": name, "gum": gum} for name, gum in natures],
+            "schemes": [{"name": name, "payoffs": payoffs} for name, payoffs in schemes],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(document))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert len(err.encode()) < 1024
+
     def test_domain_error_exit_one(self, capsys):
         document = {
             "natures": [{"name": "a", "gum": [0.1, 0.2]}],
@@ -160,6 +179,11 @@ class TestDecide:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "decide", "--input", str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err
+
+    def test_long_missing_path_stays_short(self, capsys, tmp_path):
+        code, _, err = run(capsys, "decide", "--input", str(tmp_path / ("p" * 100_000)))
+        assert code == 2 and err.startswith("error: cannot read")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
 
     def test_integer_beyond_float_range_usage_error(self, capsys):
         huge = "1" + "0" * 400

@@ -27,6 +27,7 @@ NATURES = (
     NatureStatus("Status 2", GUInterval(0.2, 0.3)),
     NatureStatus("Status 3", GUInterval(0.5, 0.7)),
 )
+MEASURES = [n.gum for n in NATURES]
 
 FOUR_SCHEMES = (
     Scheme("S1", (100.0, 80.0, 90.0)),
@@ -50,27 +51,27 @@ def five_problem():
 
 class TestGeu:
     def test_known_rows(self):
-        assert geu((100, 80, 90), NATURES) == GUInterval(71.0, 107.0)
-        assert geu((120, 130, 110), NATURES) == GUInterval(93.0, 140.0)
-        assert geu((150, 150, 120), NATURES) == GUInterval(105.0, 159.0)
-        assert geu((160, 90, 140), NATURES) == GUInterval(104.0, 157.0)
-        assert geu((0, 530, 0), NATURES) == GUInterval(106.0, 159.0)
+        assert geu((100, 80, 90), MEASURES) == GUInterval(71.0, 107.0)
+        assert geu((120, 130, 110), MEASURES) == GUInterval(93.0, 140.0)
+        assert geu((150, 150, 120), MEASURES) == GUInterval(105.0, 159.0)
+        assert geu((160, 90, 140), MEASURES) == GUInterval(104.0, 157.0)
+        assert geu((0, 530, 0), MEASURES) == GUInterval(106.0, 159.0)
 
     def test_accepts_bare_intervals(self):
-        measures = [GUInterval(0.1, 0.2), GUInterval(0.2, 0.3), GUInterval(0.5, 0.7)]
+        measures = [(0.1, 0.2), (0.2, 0.3), (0.5, 0.7)]
         assert geu((100, 80, 90), measures) == GUInterval(71.0, 107.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            geu((1.0, 2.0), NATURES)
+            geu((1.0, 2.0), MEASURES)
 
     def test_negative_payoff(self):
         with pytest.raises(ValidationError):
-            geu((-1.0, 2.0, 3.0), NATURES)
+            geu((-1.0, 2.0, 3.0), MEASURES)
 
     def test_non_finite_payoff(self):
         with pytest.raises(ValidationError):
-            geu((math.inf, 2.0, 3.0), NATURES)
+            geu((math.inf, 2.0, 3.0), MEASURES)
 
 
 class TestFourSchemeSelection:
@@ -226,7 +227,7 @@ class TestInvariance:
                 report = decide(DecisionProblem(natures, schemes, attitude=attitude))
                 assert report.selected == f"s{best}"
             for i in range(m):
-                got = geu(schemes[i].payoffs, natures)
+                got = geu(schemes[i].payoffs, [n.gum for n in natures])
                 assert got.left == pytest.approx(expected[i], abs=1e-9)
                 assert got.left == got.right
 

@@ -17,6 +17,7 @@ from gutheory import (
     DiscreteGUVariable,
     GUFunctionEnvelope,
     GUInterval,
+    GUMeasureSpace,
     GutError,
     IntervalError,
     JointDiscreteGUVariable,
@@ -25,7 +26,6 @@ from gutheory import (
     Scheme,
     ValidationError,
     add,
-    build_space,
     classify,
     compare,
     complement,
@@ -104,7 +104,7 @@ def dyadic_spaces(draw):
     assignment = {
         a: GUInterval(lefts[i] / GRID, rights[i] / GRID) for i, a in enumerate(atoms)
     }
-    return build_space(atoms, assignment)
+    return GUMeasureSpace(atoms, assignment)
 
 
 @st.composite
@@ -118,7 +118,7 @@ def float_spaces(draw):
     ]
     atoms = [f"a{i}" for i in range(n)]
     try:
-        return build_space(
+        return GUMeasureSpace(
             atoms,
             {a: GUInterval(lefts[i], rights[i]) for i, a in enumerate(atoms)},
         )
@@ -847,6 +847,8 @@ class TestNumericContract:
     @example([(-1.7e308, 1.7e308)])
     @example([(1.7e308, 1.7e308)])
     def test_nested_limit(self, chain):
+        for iv in chain:
+            _finite_or_gut_error(lambda: gud(GUInterval(*iv)))
         try:
             got = nested_limit(chain)
         except GutError:

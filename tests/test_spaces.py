@@ -14,7 +14,6 @@ from gutheory import (
     Relation,
     ValidationError,
     axiom_violations,
-    build_space,
     compare,
     mul,
 )
@@ -28,7 +27,7 @@ THREE_ATOM = {
 
 @pytest.fixture
 def space():
-    return build_space(["N1", "N2", "N3"], THREE_ATOM)
+    return GUMeasureSpace(["N1", "N2", "N3"], THREE_ATOM)
 
 
 class TestValidation:
@@ -38,66 +37,66 @@ class TestValidation:
 
     def test_strict_rejects_same_assignment(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["N1", "N2", "N3"], THREE_ATOM, mode="strict")
+            GUMeasureSpace(["N1", "N2", "N3"], THREE_ATOM, mode="strict")
         assert "0.8" in str(err.value)
 
     def test_strict_accepts_degenerate_distribution(self):
-        sp = build_space(["A", "B"], {"A": [0.25, 0.25], "B": [0.75, 0.75]}, mode="strict")
+        sp = GUMeasureSpace(["A", "B"], {"A": [0.25, 0.25], "B": [0.75, 0.75]}, mode="strict")
         assert sp.is_degenerate
 
     def test_coherent_rejects_excess_lower_sum(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A", "B"], {"A": [0.6, 0.7], "B": [0.6, 0.7]})
+            GUMeasureSpace(["A", "B"], {"A": [0.6, 0.7], "B": [0.6, 0.7]})
         assert "exceeds 1" in str(err.value)
 
     def test_coherent_rejects_short_upper_sum(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A", "B"], {"A": [0.1, 0.2], "B": [0.1, 0.2]})
+            GUMeasureSpace(["A", "B"], {"A": [0.1, 0.2], "B": [0.1, 0.2]})
         assert "falls short" in str(err.value)
 
     def test_all_violations_collected(self):
         with pytest.raises(ValidationError) as err:
-            build_space([], {"A": [0.5, 0.2]})
+            GUMeasureSpace([], {"A": [0.5, 0.2]})
         assert len(err.value.violations) >= 2
 
     def test_duplicate_atoms(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A", "A"], {"A": [0.5, 1.0]})
+            GUMeasureSpace(["A", "A"], {"A": [0.5, 1.0]})
         assert any("duplicate" in v for v in err.value.violations)
 
     def test_atom_limit(self):
         atoms = [f"a{i}" for i in range(65)]
-        build_space(atoms[:64], {a: [0.0, 0.5] for a in atoms[:64]})
+        GUMeasureSpace(atoms[:64], {a: [0.0, 0.5] for a in atoms[:64]})
         with pytest.raises(ValidationError) as err:
-            build_space(atoms, {a: [0.0, 0.5] for a in atoms})
+            GUMeasureSpace(atoms, {a: [0.0, 0.5] for a in atoms})
         assert err.value.violations == ("65 atoms exceed the limit of 64",)
 
     def test_missing_and_extra_assignments(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A", "B"], {"A": [0.5, 1.0], "C": [0.1, 0.2]})
+            GUMeasureSpace(["A", "B"], {"A": [0.5, 1.0], "C": [0.1, 0.2]})
         text = str(err.value)
         assert "without a measure" in text and "unknown atoms" in text
 
     def test_invalid_interval(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A", "B"], {"A": [0.5, 0.2], "B": [0.5, 1.0]})
+            GUMeasureSpace(["A", "B"], {"A": [0.5, 0.2], "B": [0.5, 1.0]})
         assert any("A" in v and "0 <= left <= right <= 1" in v for v in err.value.violations)
 
     def test_out_of_range_interval(self):
         with pytest.raises(ValidationError):
-            build_space(["A"], {"A": [-0.1, 1.0]})
+            GUMeasureSpace(["A"], {"A": [-0.1, 1.0]})
         with pytest.raises(ValidationError):
-            build_space(["A"], {"A": [0.5, 1.2]})
+            GUMeasureSpace(["A"], {"A": [0.5, 1.2]})
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError) as err:
-            build_space(["A"], {"A": [1.0, 1.0]}, mode="lenient")
+            GUMeasureSpace(["A"], {"A": [1.0, 1.0]}, mode="lenient")
         assert any("mode" in v for v in err.value.violations)
 
     def test_tolerance_wiggle(self):
-        build_space(["A", "B"], {"A": [0.5, 0.6], "B": [0.5 + 5e-10, 0.6]})
+        GUMeasureSpace(["A", "B"], {"A": [0.5, 0.6], "B": [0.5 + 5e-10, 0.6]})
         with pytest.raises(ValidationError):
-            build_space(["A", "B"], {"A": [0.5, 0.6], "B": [0.5 + 1e-6, 0.6]})
+            GUMeasureSpace(["A", "B"], {"A": [0.5, 0.6], "B": [0.5 + 1e-6, 0.6]})
 
     def test_axiom_violations_empty_for_valid(self):
         assert axiom_violations(["A"], {"A": [1.0, 1.0]}) == ()
@@ -121,7 +120,7 @@ class TestValidation:
     )
     def test_variables_share_the_sum_law(self, masses, mode):
         with pytest.raises(ValidationError) as space_err:
-            build_space(["A", "B"], dict(zip("AB", masses)), mode=mode)
+            GUMeasureSpace(["A", "B"], dict(zip("AB", masses)), mode=mode)
         with pytest.raises(ValidationError) as variable_err:
             DiscreteGUVariable(
                 values=(1.0, 2.0), masses=tuple(GUInterval(*m) for m in masses), mode=mode
@@ -149,20 +148,20 @@ class TestMeasure:
         assert got.right == pytest.approx(0.5, abs=1e-15)
 
     def test_clipping_in_coherent_mode(self):
-        sp = build_space(
+        sp = GUMeasureSpace(
             ["A", "B", "C"], {a: [0.0, 0.9] for a in "ABC"}
         )
         got = sp.measure({"A", "B"})
         assert got == GUInterval(0.0, 1.0)
 
     def test_measure_raw_unclipped(self):
-        sp = build_space(["A", "B", "C"], {a: [0.0, 0.9] for a in "ABC"})
+        sp = GUMeasureSpace(["A", "B", "C"], {a: [0.0, 0.9] for a in "ABC"})
         raw = sp.measure_raw({"A", "B"})
         assert raw.left == 0.0
         assert raw.right == pytest.approx(1.8, abs=1e-15)
 
     def test_measure_raw_no_full_event_axiom(self):
-        sp = build_space(["A", "B"], {"A": [0.25, 0.75], "B": [0.25, 0.5]})
+        sp = GUMeasureSpace(["A", "B"], {"A": [0.25, 0.75], "B": [0.25, 0.5]})
         assert sp.measure_raw({"A", "B"}) == GUInterval(0.5, 1.25)
 
     def test_unknown_atom(self, space):
@@ -185,7 +184,7 @@ class TestConditional:
             assert space.conditional(event, {"N1", "N2", "N3"}) == space.measure(event)
 
     def test_zero_endpoint_rejected(self):
-        sp = build_space(["A", "B"], {"A": [0.0, 0.5], "B": [0.5, 1.0]})
+        sp = GUMeasureSpace(["A", "B"], {"A": [0.0, 0.5], "B": [0.5, 1.0]})
         with pytest.raises(ConditioningError):
             sp.conditional({"B"}, {"A"})
 
@@ -206,7 +205,7 @@ class TestIndependence:
 
     @pytest.fixture
     def sp(self):
-        return build_space(list(self.FOUR), self.FOUR)
+        return GUMeasureSpace(list(self.FOUR), self.FOUR)
 
     def test_factorizing_pair(self, sp):
         assert sp.independent({"x", "y"}, {"x", "z"})
@@ -217,11 +216,6 @@ class TestIndependence:
 
     def test_non_factorizing_pair(self, sp):
         assert not sp.independent({"x"}, {"y"})
-
-    def test_custom_tolerance(self):
-        # the space's own tolerance applies; loose enough, everything factorizes
-        loose = build_space(list(self.FOUR), self.FOUR, tolerance=1.0)
-        assert loose.independent({"x"}, {"y"})
 
 
 class TestUnionMeasure:
@@ -238,7 +232,7 @@ class TestUnionMeasure:
         assert got.right == pytest.approx(want.right, abs=1e-12)
 
     def test_disjoint_dyadic_exact(self):
-        sp = build_space(
+        sp = GUMeasureSpace(
             ["A", "B", "C"],
             {"A": [0.25, 0.5], "B": [0.125, 0.25], "C": [0.25, 0.5]},
         )
@@ -247,7 +241,7 @@ class TestUnionMeasure:
 
 class TestDegenerate:
     def test_collapse(self):
-        sp = build_space(
+        sp = GUMeasureSpace(
             ["A", "B"], {"A": [0.25, 0.25], "B": [0.75, 0.75]}, mode="strict"
         )
         assert sp.collapse_to_probability() == {"A": 0.25, "B": 0.75}
@@ -257,9 +251,19 @@ class TestDegenerate:
             space.collapse_to_probability()
         assert "N1" in str(err.value)
 
+    def test_long_atom_names_stay_short_in_messages(self):
+        long = "x" * 1_000_000
+        sp = GUMeasureSpace([long, "b"], {long: [0.0, 1.0], "b": [0.0, 1.0]})
+        with pytest.raises(DegeneracyError) as collapse_err:
+            sp.collapse_to_probability()
+        with pytest.raises(EventError) as event_err:
+            sp.measure({long + "y"})
+        for err in (collapse_err, event_err):
+            assert "xxx" in str(err.value) and len(str(err.value)) < 200
+
     def test_degenerate_measure_matches_classical(self):
         probs = {"A": 0.125, "B": 0.375, "C": 0.5}
-        sp = build_space(list(probs), {a: [p, p] for a, p in probs.items()}, mode="strict")
+        sp = GUMeasureSpace(list(probs), {a: [p, p] for a, p in probs.items()}, mode="strict")
         for event in ({"A"}, {"A", "B"}, {"B", "C"}, {"A", "C"}):
             classical = math.fsum(probs[a] for a in event)
             assert sp.measure(event) == GUInterval(classical, classical)
@@ -281,6 +285,6 @@ class TestMonotonicity:
     def test_zero_lower_bound_growth_stays_weak(self):
         # the added atom contributes nothing on the left, the shared lower
         # endpoint must still not read as containment
-        sp = build_space(["A", "B"], {"A": [0.2, 0.4], "B": [0.0, 0.6]})
+        sp = GUMeasureSpace(["A", "B"], {"A": [0.2, 0.4], "B": [0.0, 0.6]})
         rel = compare(sp.measure_raw({"A"}), sp.measure_raw({"A", "B"}))
         assert rel is Relation.WEAKLY_SMALLER

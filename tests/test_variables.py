@@ -111,14 +111,6 @@ class TestDiscreteVariable:
                 values=(1.0,), masses=(GUInterval(1.0, 1.0),), mode="sloppy"
             )
 
-    @pytest.mark.parametrize("tolerance", [-1e-3, math.nan])
-    def test_rejects_bad_tolerance(self, tolerance):
-        with pytest.raises(ValidationError) as err:
-            DiscreteGUVariable(
-                values=(1.0,), masses=(GUInterval(1.0, 1.0),), tolerance=tolerance
-            )
-        assert "tolerance" in str(err.value)
-
 
 class TestJointAndCovariance:
     def test_perfectly_correlated_degenerate(self):
@@ -186,17 +178,6 @@ class TestJointAndCovariance:
         assert rows[0].right == pytest.approx(0.5, abs=1e-15)
         assert len(rows) == 2 and len(cols) == 2
 
-    @pytest.mark.parametrize("tolerance", [-1e-3, math.nan])
-    def test_rejects_bad_tolerance(self, tolerance):
-        with pytest.raises(ValidationError) as err:
-            JointDiscreteGUVariable(
-                row_values=(0.0,),
-                col_values=(0.0,),
-                cells=((GUInterval(1.0, 1.0),),),
-                tolerance=tolerance,
-            )
-        assert "tolerance" in str(err.value)
-
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             JointDiscreteGUVariable(
@@ -215,10 +196,10 @@ class TestJointAndCovariance:
 class TestEnvelopeConstruction:
     def test_basic(self):
         env = GUFunctionEnvelope(
-            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="unit"
+            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="free"
         )
         assert env.domain == (0.0, 1.0)
-        assert env.kind == "unit"
+        assert env.kind == "free"
 
     def test_rejects_crossed_cores(self):
         with pytest.raises(ValidationError) as err:
@@ -226,12 +207,6 @@ class TestEnvelopeConstruction:
                 lower=lambda x: 1.0, upper=lambda x: 0.0, domain=(0.0, 1.0)
             )
         assert "exceeds" in str(err.value)
-
-    def test_unit_kind_range(self):
-        with pytest.raises(ValidationError):
-            GUFunctionEnvelope(
-                lower=lambda x: 0.0, upper=lambda x: 1.5, domain=(0.0, 1.0), kind="unit"
-            )
 
     def test_density_kind_nonnegative(self):
         with pytest.raises(ValidationError):
@@ -327,7 +302,7 @@ class TestCalculus:
 
     def test_integral_unit_box(self):
         env = GUFunctionEnvelope(
-            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="unit"
+            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="free"
         )
         got = gu_integral(env, 0.0, 1.0)
         assert got.left == pytest.approx(0.0, abs=1e-12)
@@ -381,7 +356,7 @@ class TestDensityExpectation:
 
     def test_requires_density_kind(self):
         env = GUFunctionEnvelope(
-            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="unit"
+            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind="free"
         )
         with pytest.raises(ConfigurationError):
             density_expectation(env)
