@@ -26,6 +26,7 @@ from .errors import (
     IntervalError,
     NestingError,
     ValidationError,
+    brief,
 )
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -79,7 +80,9 @@ class DiscreteGUVariable:
                 f"{len(self.values)} values but {len(self.masses)} masses"
             )
         if self.mode not in MODES:
-            problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            problems.append(
+                f"unknown mode {brief(repr(self.mode))}; expected one of {MODES}"
+            )
         problems += _values_violations(self.values, "support values")
         if not problems:
             problems += _law_violations(self.masses, self.mode, "mass")
@@ -142,7 +145,9 @@ class JointDiscreteGUVariable:
         elif any(len(row) != len(self.col_values) for row in self.cells):
             problems.append("every cell row must match the column support length")
         if self.mode not in MODES:
-            problems.append(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            problems.append(
+                f"unknown mode {brief(repr(self.mode))}; expected one of {MODES}"
+            )
         if not problems:
             flat = [m for row in self.cells for m in row]
             problems += _law_violations(flat, self.mode, "cell mass")
@@ -231,7 +236,7 @@ class GUFunctionEnvelope:
             lo, hi = (float(v) for v in self.domain)
         except (TypeError, ValueError):
             raise ValidationError(
-                [f"domain must be a pair of numbers, got {self.domain!r}"]
+                [f"domain must be a pair of numbers, got {brief(repr(self.domain))}"]
             ) from None
         object.__setattr__(self, "domain", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
@@ -244,7 +249,7 @@ class GUFunctionEnvelope:
             )
         if self.kind not in ENVELOPE_KINDS:
             problems.append(
-                f"unknown kind {self.kind!r}; expected one of {ENVELOPE_KINDS}"
+                f"unknown kind {brief(repr(self.kind))}; expected one of {ENVELOPE_KINDS}"
             )
         if not problems:
             problems += self._core_violations()

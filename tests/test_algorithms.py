@@ -1,7 +1,10 @@
 """Distribution specs, sequence generation and neighbourhood classing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gutheory import (
     ConfigurationError,
@@ -12,7 +15,44 @@ from gutheory import (
     classify,
     generate_sequence,
 )
-from gutheory.algorithms import MAX_DRAWS, MAX_K
+from gutheory.algorithms import FAMILIES, MAX_DRAWS, MAX_K
+
+
+def numpy_sample(spec, rng):
+    """One draw from numpy's own sampler for ``spec``: the reference."""
+    if spec.family == "normal":
+        return rng.normal(spec.mu, math.sqrt(spec.sigma2))
+    if spec.family == "uniform":
+        half_width = math.sqrt(3.0 * spec.sigma2)
+        return rng.uniform(spec.mu - half_width, spec.mu + half_width)
+    return rng.exponential(spec.mu)
+
+
+def replay(specs, k, seed):
+    """The documented draw order, replayed through numpy's own samplers."""
+    rng = np.random.default_rng(seed)
+    rows = [[numpy_sample(spec, rng) for spec in specs] for _ in range(k)]
+    picks = rng.integers(0, len(specs), size=k)
+    return tuple(rows[j][picks[j]] for j in range(k))
+
+
+ONE_FAMILY = {
+    "normal": (
+        DistributionSpec("normal", 0.0, 1.0),
+        DistributionSpec("normal", -3.5, 0.25),
+        DistributionSpec("normal", 1e6, 4e10),
+    ),
+    "uniform": (
+        DistributionSpec("uniform", 0.5, 1.0 / 12.0),
+        DistributionSpec("uniform", -20.0, 3.0),
+        DistributionSpec("uniform", 1e-3, 1e-9),
+    ),
+    "exponential": (
+        DistributionSpec("exponential", 1.0),
+        DistributionSpec("exponential", 0.125),
+        DistributionSpec("exponential", 250.0),
+    ),
+}
 
 
 class TestDistributionSpec:
@@ -65,6 +105,11 @@ class TestDistributionSpec:
         with pytest.raises(ConfigurationError):
             DistributionSpec.from_dict({"family": "normal"})
 
+    @pytest.mark.parametrize("spec", [s for specs in ONE_FAMILY.values() for s in specs])
+    def test_sample_equals_numpy_sampler(self, spec):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        assert [spec.sample(a) for _ in range(50)] == [numpy_sample(spec, b) for _ in range(50)]
+
     def test_sampling_deterministic_per_seed(self):
         spec = DistributionSpec("normal", 0.0, 1.0)
         a = spec.sample(np.random.default_rng(7))
@@ -105,16 +150,39 @@ class TestGenerateSequence:
         c = generate_sequence(self.SPECS, 200, seed=43)
         assert a.elements != c.elements
 
-    def test_draw_order_contract(self):
+    @pytest.mark.parametrize("family", [*ONE_FAMILY, "mixed"])
+    def test_draw_order_contract(self, family):
         # per position: one candidate per spec in spec order, then the
         # index draws; an independent replay must reproduce the output
+        specs = ONE_FAMILY.get(family, self.SPECS)
         k, seed = 25, 9
-        seq = generate_sequence(self.SPECS, k, seed=seed)
-        rng = np.random.default_rng(seed)
-        rows = [[spec.sample(rng) for spec in self.SPECS] for _ in range(k)]
-        picks = rng.integers(0, len(self.SPECS), size=k)
-        expected = tuple(rows[j][picks[j]] for j in range(k))
-        assert seq.elements == expected
+        assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        one_family=st.booleans(),
+        drawn=st.lists(
+            st.tuples(
+                st.sampled_from(FAMILIES),
+                st.floats(1e-300, 1e150) | st.floats(-1e150, -1e-300),
+                st.floats(1e-300, 1e200),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        k=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+    )
+    def test_sequence_equals_numpy_replay(self, one_family, drawn, k, seed):
+        # one family takes the block path, mixed families the scalar loop
+        specs = []
+        for family, mu, sigma2 in drawn:
+            family = drawn[0][0] if one_family else family
+            if family == "exponential":
+                specs.append(DistributionSpec(family, abs(mu)))
+            else:
+                specs.append(DistributionSpec(family, mu, sigma2))
+        assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
 
     def test_mixture_membership(self):
         # far-apart uniforms: every element must land in one support

@@ -392,6 +392,30 @@ class TestGenerate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "distributions",
+        [
+            [{"family": "exponential", "mu": 1e308}],
+            [{"family": "normal", "mu": 0, "sigma2": 1}, {"family": "exponential", "mu": 1e308}],
+        ],
+        ids=["one-family", "mixed"],
+    )
+    def test_overflowing_draw_prints_one_line(self, distributions):
+        # An in-process run cannot see a numpy RuntimeWarning: pytest
+        # records warnings instead of printing them.
+        document = {"distributions": distributions, "k": 20}
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gutheory", "generate", "--input", json.dumps(document)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: element ") and proc.stderr.count("\n") == 1
+        assert "drew inf" in proc.stderr and "Warning" not in proc.stderr
+
     def test_closed_stdout_exit_one(self):
         document = {"k": 200000, "distributions": [{"family": "exponential", "mu": 1}]}
         src = Path(__file__).resolve().parent.parent / "src"

@@ -254,6 +254,31 @@ class TestEnvelopeConstruction:
             )
 
 
+LONG = "x" * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiscreteGUVariable(values=(1.0,), masses=([1.0, 1.0],), mode=LONG),
+        lambda: JointDiscreteGUVariable(
+            row_values=(1.0,), col_values=(1.0,), cells=(([1.0, 1.0],),), mode=LONG
+        ),
+        lambda: GUFunctionEnvelope(
+            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(0.0, 1.0), kind=LONG
+        ),
+        lambda: GUFunctionEnvelope(
+            lower=lambda x: 0.0, upper=lambda x: 1.0, domain=(LONG, 1.0)
+        ),
+    ],
+    ids=["variable-mode", "joint-mode", "envelope-kind", "envelope-domain"],
+)
+def test_long_inputs_stay_short_in_messages(build):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert "xxx" in str(err.value) and len(str(err.value)) < 200
+
+
 class TestCalculus:
     @pytest.fixture
     def square_env(self):
