@@ -106,18 +106,64 @@ def _check_schema(document: dict, schema: dict) -> None:
         raise _UsageError("input does not match the schema at {}: {}".format(*found))
 
 
-def _round12(obj):
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values) -> list[str]:
+    """Each float rounded to 12 significant digits, spelled as ``json``
+    spells the rounded float.  A ``.12g`` text with a point and no exponent
+    already is that spelling: 12 digits survive the trip through a double,
+    and ``repr`` uses fixed notation wherever ``.12g`` does."""
+    texts = [f"{x:.12g}" for x in values]
+    return [
+        t if "." in t and "e" not in t else _FLOAT_WORDS.get(t) or float.__repr__(float(t))
+        for t in texts
+    ]
+
+
+def _json_text(obj, pad: str) -> str:
+    if isinstance(obj, str):
+        return _encode_str(obj)
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _float_texts((obj,))[0]
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        body = sep.join(
+            f"{_encode_str(key)}: {_json_text(value, inner)}" for key, value in obj.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            body = sep.join(_float_texts(obj))
+        elif kinds == {str}:
+            body = sep.join(map(_encode_str, obj))
+        elif kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join(_json_text(value, inner) for value in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _as_json(payload: dict) -> str:
-    return json.dumps(_round12(payload), indent=2)
+    """``payload`` as ``json.dumps(..., indent=2)`` prints it once every float
+    is rounded to 12 significant digits; tuples print as lists."""
+    return _json_text(payload, "")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +205,7 @@ def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
         "seed": seed,
         "k": k,
         "generator": "pcg64",
-        "elements": list(sequence.elements),
+        "elements": sequence.elements,
     }
     if args.format == "json":
         return _as_json(payload), 0

@@ -119,8 +119,10 @@ class DecisionProblem:
             problems.append(
                 f"unknown attitude {brief(repr(self.attitude))}; expected one of {ATTITUDES}"
             )
-        if not self.tolerance >= 0.0:
-            problems.append(f"tolerance must be nonnegative, got {self.tolerance}")
+        if not 0.0 <= self.tolerance < math.inf:
+            problems.append(
+                f"tolerance must be finite and nonnegative, got {self.tolerance}"
+            )
         if problems:
             raise ValidationError(problems)
 
@@ -352,7 +354,10 @@ def report_to_dict(report: DecisionReport) -> dict:
     return {
         "schemes": list(report.scheme_names),
         "geus": [[iv.left, iv.right] for iv in report.geus],
-        "relations": [[rel.value for rel in row] for row in report.relations],
+        # ``_value_`` is the member's own attribute: the ``value`` property,
+        # or a dict keyed by members (hashed by ``Enum.__hash__``), costs a
+        # Python call for each of the m * m cells.
+        "relations": [[rel._value_ for rel in row] for row in report.relations],
         "comparisons": [
             None
             if entry is None

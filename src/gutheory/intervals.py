@@ -259,8 +259,8 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     for i in (i1, i2):
         if not i.is_proper:
             raise IntervalError(f"comparison needs proper intervals, got {i}")
-    if not tol >= 0.0:
-        raise IntervalError(f"tolerance must be nonnegative, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise IntervalError(f"tolerance must be finite and nonnegative, got {tol}")
     a1, b1 = i1.left, i1.right
     a2, b2 = i2.left, i2.right
     eq_left = abs(a1 - a2) <= tol

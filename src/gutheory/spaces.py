@@ -29,6 +29,7 @@ results do not depend on atom enumeration order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -124,8 +125,10 @@ def axiom_violations(
 
     if mode not in MODES:
         problems.append(f"unknown mode {brief(repr(mode))}; expected one of {MODES}")
-    if not (isinstance(tolerance, (int, float)) and tolerance >= 0.0):
-        problems.append(f"tolerance must be nonnegative, got {brief(repr(tolerance))}")
+    if not (isinstance(tolerance, (int, float)) and 0.0 <= tolerance < math.inf):
+        problems.append(
+            f"tolerance must be finite and nonnegative, got {brief(repr(tolerance))}"
+        )
         tolerance = DEFAULT_TOLERANCE
 
     usable: dict[str, GUInterval] = {}

@@ -105,6 +105,19 @@ class TestDistributionSpec:
         with pytest.raises(ConfigurationError):
             DistributionSpec.from_dict({"family": "normal"})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DistributionSpec("x" * 1_000_000, 0.0, 1.0),
+            lambda: DistributionSpec.from_dict({"family": "x" * 1_000_000}),
+        ],
+        ids=["family", "from_dict"],
+    )
+    def test_long_inputs_stay_short_in_messages(self, build):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert "xxx" in str(err.value) and len(str(err.value)) < 200
+
     @pytest.mark.parametrize("spec", [s for specs in ONE_FAMILY.values() for s in specs])
     def test_sample_equals_numpy_sampler(self, spec):
         a, b = np.random.default_rng(5), np.random.default_rng(5)

@@ -158,6 +158,15 @@ class TestDecide:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "tolerance" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_infinite_tolerance_domain_error(self, capsys, fmt):
+        # An infinite slack would call every pair Equal.
+        code, out, err = run(
+            capsys, "decide", "--input", json.dumps(PROBLEM), "--tolerance=inf", "--format", fmt
+        )
+        assert code == 1 and out == ""
+        assert err == "error: tolerance must be finite and nonnegative, got inf\n"
+
     def test_malformed_json_exit_two(self, capsys):
         code, _, err = run(capsys, "decide", "--input", '{"natures": [')
         assert code == 2 and "line" in err
@@ -480,6 +489,19 @@ class TestValidate:
         jsonschema.validate(payload, VALIDATE_REPORT_SCHEMA)
         assert payload["valid"] is False
         assert any("A" in v for v in payload["violations"])
+
+    def test_infinite_tolerance_is_invalid(self, capsys):
+        # Endpoint sums 0.1 and 0.2 would pass the strict law with an
+        # infinite slack.
+        document = {"atoms": ["A", "B"], "gum": {"A": [0.05, 0.1], "B": [0.05, 0.1]}}
+        code, out, err = run(
+            capsys, "validate", "--input", json.dumps(document), "--mode", "strict",
+            "--tolerance=inf", "--format", "json",
+        )
+        assert code == 1 and json.loads(out)["valid"] is False
+        assert err == (
+            "error: invalid space: tolerance must be finite and nonnegative, got inf\n"
+        )
 
     def test_overflowing_sum_reported_as_unavailable(self, capsys):
         document = {"atoms": ["A", "B"], "gum": {"A": [1e308, 1e308], "B": [1e308, 1e308]}}

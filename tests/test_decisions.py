@@ -233,6 +233,11 @@ class TestInvariance:
 
 
 class TestValidationAndParsing:
+    @pytest.mark.parametrize("tolerance", [math.inf, -1e-3, math.nan])
+    def test_rejects_unusable_tolerance(self, tolerance):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            DecisionProblem(NATURES, FOUR_SCHEMES, tolerance=tolerance)
+
     def test_duplicate_scheme_names(self):
         with pytest.raises(ValidationError):
             DecisionProblem(

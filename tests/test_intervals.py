@@ -276,6 +276,11 @@ class TestCompare:
         with pytest.raises(IntervalError):
             compare(GUInterval(0, 1), GUInterval(0, 1), tol=math.nan)
 
+    def test_rejects_infinite_tolerance(self):
+        # An infinite slack would call every pair Equal.
+        with pytest.raises(IntervalError, match="finite"):
+            compare(GUInterval(0, 1), GUInterval(5, 6), tol=math.inf)
+
     def test_mirror_property(self):
         cases = [
             (GUInterval(0.1, 0.2), GUInterval(0.5, 0.7)),

@@ -101,6 +101,11 @@ class TestValidation:
     def test_axiom_violations_empty_for_valid(self):
         assert axiom_violations(["A"], {"A": [1.0, 1.0]}) == ()
 
+    def test_infinite_tolerance_is_a_violation(self):
+        # With an infinite slack any endpoint sums would pass the strict law.
+        found = axiom_violations(["A", "B"], {"A": [0.05, 0.05], "B": [0.1, 0.1]}, "strict", math.inf)
+        assert found == ("tolerance must be finite and nonnegative, got inf",)
+
     def test_direct_constructor_validates(self):
         with pytest.raises(ValidationError):
             GUMeasureSpace(atoms=("A",), assignment={"A": GUInterval(0.2, 0.3)})
