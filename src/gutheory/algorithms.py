@@ -119,10 +119,6 @@ class DistributionSpec:
             return (low, high - low)
         return (0.0, self.mu)
 
-    def sample(self, rng) -> float:
-        offset, factor = self.affine
-        return offset + factor * getattr(rng, STANDARD[self.family])()
-
 
 @dataclass(frozen=True, slots=True)
 class GUSequence:

@@ -73,15 +73,17 @@ def _parse_int(token: str) -> int:
 
 
 def _load_document(source: str) -> dict:
-    if source == "-":
-        text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
-        text = source
-    else:
-        try:
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        elif source.lstrip().startswith("{"):
+            text = source
+        else:
             text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise _UsageError(f"cannot read {brief(repr(source))}: {exc.strerror}") from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read {brief(repr(source))}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read {brief(repr(source))}: not UTF-8 text") from None
     try:
         document = json.loads(
             text,

@@ -204,7 +204,11 @@ def delta_neighbour(i1: GUInterval, i2: GUInterval, delta: float) -> bool:
 
 @unique
 class Relation(Enum):
-    """Outcome of the seven-way interval order classifier."""
+    """Outcome of the seven-way interval order classifier.
+
+    Each member's ``mirrored`` is the verdict with the argument order
+    flipped: ``compare(b, a) is compare(a, b).mirrored``.
+    """
 
     EQUAL = "Equal"
     STRONGLY_SMALLER = "StronglySmaller"
@@ -214,21 +218,17 @@ class Relation(Enum):
     WEAKLY_SMALLER = "WeaklySmaller"
     WEAKLY_GREATER = "WeaklyGreater"
 
-    @property
-    def mirrored(self) -> "Relation":
-        """The verdict with the argument order flipped."""
-        return _MIRROR[self]
 
-
-_MIRROR = {
-    Relation.EQUAL: Relation.EQUAL,
-    Relation.STRONGLY_SMALLER: Relation.STRONGLY_GREATER,
-    Relation.STRONGLY_GREATER: Relation.STRONGLY_SMALLER,
-    Relation.PARTLY_SMALLER: Relation.PARTLY_GREATER,
-    Relation.PARTLY_GREATER: Relation.PARTLY_SMALLER,
-    Relation.WEAKLY_SMALLER: Relation.WEAKLY_GREATER,
-    Relation.WEAKLY_GREATER: Relation.WEAKLY_SMALLER,
-}
+# A plain attribute set once, not a property: ``relation_matrix`` reads it
+# for every cell below the diagonal.
+for _a, _b in (
+    (Relation.EQUAL, Relation.EQUAL),
+    (Relation.STRONGLY_SMALLER, Relation.STRONGLY_GREATER),
+    (Relation.PARTLY_SMALLER, Relation.PARTLY_GREATER),
+    (Relation.WEAKLY_SMALLER, Relation.WEAKLY_GREATER),
+):
+    _a.mirrored, _b.mirrored = _b, _a
+del _a, _b
 
 
 def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> Relation:

@@ -120,27 +120,24 @@ class TestDistributionSpec:
 
     @pytest.mark.parametrize("spec", [s for specs in ONE_FAMILY.values() for s in specs])
     def test_sample_equals_numpy_sampler(self, spec):
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        assert [spec.sample(a) for _ in range(50)] == [numpy_sample(spec, b) for _ in range(50)]
+        assert generate_sequence([spec], 50, seed=5).elements == replay([spec], 50, 5)
 
     def test_sampling_deterministic_per_seed(self):
         spec = DistributionSpec("normal", 0.0, 1.0)
-        a = spec.sample(np.random.default_rng(7))
-        b = spec.sample(np.random.default_rng(7))
-        assert a == b
+        a = generate_sequence([spec], 20, seed=7)
+        b = generate_sequence([spec], 20, seed=7)
+        assert a.elements == b.elements
 
     def test_uniform_bounds(self):
         # sigma2 = 1/3 gives half width exactly 1
         spec = DistributionSpec("uniform", 2.0, 1.0 / 3.0)
-        rng = np.random.default_rng(3)
-        draws = [spec.sample(rng) for _ in range(500)]
+        draws = generate_sequence([spec], 500, seed=3).elements
         assert all(1.0 <= x <= 3.0 for x in draws)
         assert np.mean(draws) == pytest.approx(2.0, abs=0.1)
 
     def test_exponential_positive_draws(self):
         spec = DistributionSpec("exponential", 1.5)
-        rng = np.random.default_rng(11)
-        draws = [spec.sample(rng) for _ in range(500)]
+        draws = generate_sequence([spec], 500, seed=11).elements
         assert all(x > 0.0 for x in draws)
         assert np.mean(draws) == pytest.approx(1.5, abs=0.25)
 

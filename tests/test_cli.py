@@ -468,6 +468,22 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--input", json.dumps(document))
         assert code == 1
 
+    NOT_UTF8 = b'{"atoms":["a"],"gum":{"a":[1,1]}}\xff'
+
+    def test_file_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.NOT_UTF8)
+        code, out, err = run(capsys, "validate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot read {str(path)!r}: not UTF-8 text\n"
+
+    def test_stdin_not_utf8_is_usage_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "validate", "--input", "-")
+        assert code == 2 and out == ""
+        assert err == "error: cannot read '-': not UTF-8 text\n"
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "validate", "--input", json.dumps(SPACE), "--format", "json"
@@ -624,6 +640,7 @@ def test_runs_without_jsonschema():
             code = main(argv)
             assert code == 0, (argv, code)
             assert "jsonschema" not in sys.modules, argv
+            assert "gutheory.variables" not in sys.modules, argv
         assert "numpy" in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
