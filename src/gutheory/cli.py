@@ -9,14 +9,16 @@ One subcommand per job, one document in, one result out:
 
 ``--input`` accepts a file path, an inline JSON object or ``-`` for
 stdin.  Exit codes: 0 on success, 1 when the input is well-formed but
-violates a domain rule, 2 when the input cannot be read or fails its
-schema.  JSON output rounds floats to twelve significant digits and is
-byte-identical across runs of the same invocation.
+violates a domain rule or stdout cannot be written, 2 when the input
+cannot be read or fails its schema.  JSON output rounds floats to twelve
+significant digits and is byte-identical across runs of the same
+invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -75,6 +77,8 @@ def _parse_int(token: str) -> int:
 def _load_document(source: str) -> dict:
     try:
         if source == "-":
+            if sys.stdin is None:
+                raise _UsageError("cannot read '-': stdin is closed")
             text = sys.stdin.read()
         elif source.lstrip().startswith("{"):
             text = source
@@ -102,12 +106,6 @@ def _load_document(source: str) -> dict:
     return document
 
 
-def _check_schema(document: dict, schema: dict) -> None:
-    found = first_violation(document, schema)
-    if found:
-        raise _UsageError("input does not match the schema at {}: {}".format(*found))
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -124,7 +122,10 @@ def _float_texts(values) -> list[str]:
     ]
 
 
-def _json_text(obj, pad: str) -> str:
+def _as_json(obj, pad: str = "") -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` prints it once every float is
+    rounded to 12 significant digits; tuples print as lists.  ``pad`` is the
+    indent of the line ``obj`` starts on."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, float):
@@ -143,7 +144,7 @@ def _json_text(obj, pad: str) -> str:
         if not obj:
             return "{}"
         body = sep.join(
-            f"{_encode_str(key)}: {_json_text(value, inner)}" for key, value in obj.items()
+            f"{_encode_str(key)}: {_as_json(value, inner)}" for key, value in obj.items()
         )
         return f"{{\n{inner}{body}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -157,15 +158,9 @@ def _json_text(obj, pad: str) -> str:
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
         else:
-            body = sep.join(_json_text(value, inner) for value in obj)
+            body = sep.join(_as_json(value, inner) for value in obj)
         return f"[\n{inner}{body}\n{pad}]"
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-def _as_json(payload: dict) -> str:
-    """``payload`` as ``json.dumps(..., indent=2)`` prints it once every float
-    is rounded to 12 significant digits; tuples print as lists."""
-    return _json_text(payload, "")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler, schema = _COMMANDS[args.command]
     try:
         document = _load_document(args.input)
-        _check_schema(document, schema)
+        if found := first_violation(document, schema):
+            raise _UsageError("input does not match the schema at {}: {}".format(*found))
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -347,14 +343,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GutError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    stdout = sys.stdout
+    if stdout is None:
+        # The process started with stdout closed.
+        print("error: cannot write to stdout: it is closed", file=sys.stderr)
+        return 1
     try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away.  Point stdout at the null device so the
-        # flush at interpreter exit does not fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+        if isinstance(stdout, io.TextIOWrapper):
+            # A table prints names as the document spells them, lone
+            # surrogates too: encode UTF-8 whatever the locale, and escape
+            # what UTF-8 cannot encode.  A stream of str, such as a
+            # StringIO, encodes nothing.
+            stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
+        print(text, file=stdout)
+        stdout.flush()
+    except OSError as exc:
+        # The reader went away or the device is full.  Point stdout at the
+        # null device so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 1
     return code
 

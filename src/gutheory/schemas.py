@@ -1,10 +1,10 @@
-"""JSON Schemas for every document the command line reads or writes.
+"""JSON Schemas for the four documents the command line reads.
 
 The input schemas gate documents before any domain code runs, so shape
 errors surface as usage errors (exit code 2) rather than computation
-errors.  The report schemas describe what each subcommand prints with
-``--format json``; copies of all of them are published under
-``docs/schemas/`` and a test keeps the copies in sync.
+errors.  Copies are published under ``docs/schemas/`` and a test keeps
+them in sync.  What each subcommand prints with ``--format json`` is
+described only there, by the ``*_report.schema.json`` files.
 
 :func:`first_violation` checks a document against an input schema with
 the standard library alone.  It interprets only the keywords the input
@@ -23,9 +23,8 @@ from __future__ import annotations
 import re
 
 from .algorithms import FAMILIES, MAX_K
-from .decisions import ATTITUDES, SelectionRationale
+from .decisions import ATTITUDES
 from .errors import brief
-from .intervals import Relation
 from .spaces import MODES
 
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
@@ -36,10 +35,6 @@ _INTERVAL = {
     "items": False,
     "minItems": 2,
 }
-
-_RELATION = {"enum": [r.value for r in Relation]}
-_MODE = {"enum": list(MODES)}
-_ATTITUDE = {"enum": list(ATTITUDES)}
 
 SPACE_SCHEMA = {
     "$schema": _DRAFT,
@@ -55,7 +50,7 @@ SPACE_SCHEMA = {
             "items": {"type": "string", "minLength": 1},
         },
         "gum": {"type": "object", "additionalProperties": _INTERVAL},
-        "mode": _MODE,
+        "mode": {"enum": list(MODES)},
     },
 }
 
@@ -96,7 +91,7 @@ DECISION_SCHEMA = {
                 },
             },
         },
-        "attitude": _ATTITUDE,
+        "attitude": {"enum": list(ATTITUDES)},
     },
 }
 
@@ -141,111 +136,6 @@ GENERATE_SCHEMA = {
         },
     },
 }
-
-DECISION_REPORT_SCHEMA = {
-    "$schema": _DRAFT,
-    "title": "Decision report",
-    "type": "object",
-    "required": [
-        "schemes",
-        "geus",
-        "relations",
-        "comparisons",
-        "selected",
-        "rationale",
-        "attitude",
-        "note",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "schemes": {"type": "array", "items": {"type": "string"}},
-        "geus": {"type": "array", "items": _INTERVAL},
-        "relations": {
-            "type": "array",
-            "items": {"type": "array", "items": _RELATION},
-        },
-        "comparisons": {
-            "type": "array",
-            "items": {
-                "anyOf": [
-                    {"type": "null"},
-                    {
-                        "type": "object",
-                        "required": ["scheme", "versus", "relation"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "scheme": {"type": "string"},
-                            "versus": {"type": "string"},
-                            "relation": _RELATION,
-                        },
-                    },
-                ]
-            },
-        },
-        "selected": {"type": "string"},
-        "rationale": {"enum": [r.value for r in SelectionRationale]},
-        "attitude": {"anyOf": [{"type": "null"}, _ATTITUDE]},
-        "note": {"anyOf": [{"type": "null"}, {"type": "string"}]},
-    },
-}
-
-CLUSTER_REPORT_SCHEMA = {
-    "$schema": _DRAFT,
-    "title": "Neighbourhood classing report",
-    "type": "object",
-    "required": ["delta", "classes"],
-    "additionalProperties": False,
-    "properties": {
-        "delta": {"type": "number"},
-        "classes": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        },
-    },
-}
-
-GENERATE_REPORT_SCHEMA = {
-    "$schema": _DRAFT,
-    "title": "Sequence generation report",
-    "type": "object",
-    "required": ["seed", "k", "generator", "elements"],
-    "additionalProperties": False,
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "k": {"type": "integer", "minimum": 1, "maximum": MAX_K},
-        "generator": {"const": "pcg64"},
-        "elements": {"type": "array", "items": {"type": "number"}},
-    },
-}
-
-VALIDATE_REPORT_SCHEMA = {
-    "$schema": _DRAFT,
-    "title": "Space validation report",
-    "type": "object",
-    "required": ["valid", "mode", "atoms", "sum_left", "sum_right", "violations"],
-    "additionalProperties": False,
-    "properties": {
-        "valid": {"type": "boolean"},
-        "mode": _MODE,
-        "atoms": {"type": "integer", "minimum": 0},
-        "sum_left": {"anyOf": [{"type": "null"}, {"type": "number"}]},
-        "sum_right": {"anyOf": [{"type": "null"}, {"type": "number"}]},
-        "violations": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
-#: Name to schema mapping mirrored by the files in docs/schemas/.
-PUBLISHED = {
-    "space_input": SPACE_SCHEMA,
-    "decision_input": DECISION_SCHEMA,
-    "cluster_input": CLUSTER_SCHEMA,
-    "generate_input": GENERATE_SCHEMA,
-    "decision_report": DECISION_REPORT_SCHEMA,
-    "cluster_report": CLUSTER_REPORT_SCHEMA,
-    "generate_report": GENERATE_REPORT_SCHEMA,
-    "validate_report": VALIDATE_REPORT_SCHEMA,
-}
-
 
 _TYPES = {"object": dict, "array": list, "string": str}
 _PLAIN_NAME = re.compile("[a-zA-Z][a-zA-Z0-9_]*")

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -13,12 +14,6 @@ import pytest
 
 from gutheory.algorithms import MAX_DRAWS, MAX_K
 from gutheory.cli import main
-from gutheory.schemas import (
-    CLUSTER_REPORT_SCHEMA,
-    DECISION_REPORT_SCHEMA,
-    GENERATE_REPORT_SCHEMA,
-    VALIDATE_REPORT_SCHEMA,
-)
 
 PROBLEM = {
     "natures": [
@@ -38,6 +33,14 @@ SPACE = {
     "atoms": ["N1", "N2", "N3"],
     "gum": {"N1": [0.1, 0.2], "N2": [0.2, 0.3], "N3": [0.5, 0.7]},
 }
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+
+def report_schema(command: str) -> dict:
+    """The published schema of ``command``'s ``--format json`` report."""
+    return json.loads((DOCS / f"{command}_report.schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -60,9 +63,18 @@ class TestDecide:
         )
         assert code == 0
         payload = json.loads(out)
-        jsonschema.validate(payload, DECISION_REPORT_SCHEMA)
+        jsonschema.validate(payload, report_schema("decision"))
         assert payload["geus"] == [[71, 107], [93, 140], [105, 159], [104, 157]]
         assert payload["selected"] == "S3"
+
+    def test_table_escapes_lone_surrogate(self, capsys):
+        problem = {
+            "natures": [{"name": "n", "gum": [1, 1]}],
+            "schemes": [{"name": "x\ud800", "payoffs": [1]}, {"name": "y", "payoffs": [2]}],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(problem))
+        assert code == 0 and err == ""
+        assert "\nx\\ud800 " in out and "selected: y" in out
 
     def test_json_deterministic(self, capsys):
         argv = ("decide", "--input", json.dumps(PROBLEM), "--format", "json")
@@ -218,7 +230,7 @@ class TestCluster:
         )
         assert code == 0
         payload = json.loads(out)
-        jsonschema.validate(payload, CLUSTER_REPORT_SCHEMA)
+        jsonschema.validate(payload, report_schema("cluster"))
         assert payload["classes"] == [[0, 1], [2, 3]]
 
     def test_table(self, capsys):
@@ -305,7 +317,7 @@ class TestGenerate:
         )
         assert code == 0
         payload = json.loads(out)
-        jsonschema.validate(payload, GENERATE_REPORT_SCHEMA)
+        jsonschema.validate(payload, report_schema("generate"))
         assert payload["seed"] == 42 and payload["k"] == 8
         assert len(payload["elements"]) == 8
 
@@ -490,7 +502,7 @@ class TestValidate:
         )
         assert code == 0
         payload = json.loads(out)
-        jsonschema.validate(payload, VALIDATE_REPORT_SCHEMA)
+        jsonschema.validate(payload, report_schema("validate"))
         assert payload["valid"] is True
         assert payload["sum_left"] == 0.8
         assert payload["sum_right"] == 1.2
@@ -502,7 +514,7 @@ class TestValidate:
         )
         assert code == 1
         payload = json.loads(out)
-        jsonschema.validate(payload, VALIDATE_REPORT_SCHEMA)
+        jsonschema.validate(payload, report_schema("validate"))
         assert payload["valid"] is False
         assert any("A" in v for v in payload["violations"])
 
@@ -690,6 +702,56 @@ def test_deeply_nested_document_usage_error(capsys, command, document, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message is None or err == message
+
+
+def _gut_shell(command: str, source: str, redirect: str, **env) -> subprocess.CompletedProcess:
+    """Run ``python -m gutheory <command> --input <source>`` through the
+    shell, so ``redirect`` can close or replace a standard stream."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "gutheory", command, "--input", source]
+    line = f"{shlex.join(argv)} {redirect}"
+    return subprocess.run(
+        line, shell=True, capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src), **env),
+    )
+
+
+class TestStandardStreams:
+    CLUSTER = {"delta": 0.1, "items": [[0.1, 0.2]]}
+
+    @staticmethod
+    def assert_one_error_line(proc, code):
+        err = proc.stderr.decode()
+        assert proc.returncode == code, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_table_writes_utf8_under_ascii_encoding(self):
+        # Overlapping GEUs compare weakly, which the table prints as "≥".
+        problem = {
+            "natures": [{"name": "n", "gum": [0.2, 1]}],
+            "schemes": [{"name": "a", "payoffs": [1]}, {"name": "b", "payoffs": [2]}],
+        }
+        proc = _gut_shell("decide", json.dumps(problem), "", PYTHONIOENCODING="ascii")
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert "GEU2 ≥ GEU1".encode() in proc.stdout
+
+    def test_stdout_closed_at_start_exit_one(self):
+        proc = _gut_shell("cluster", json.dumps(self.CLUSTER), ">&-")
+        self.assert_one_error_line(proc, 1)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("k", [1, 200000], ids=["buffered", "unbuffered"])
+    def test_full_device_exit_one(self, k):
+        document = {"k": k, "distributions": [{"family": "exponential", "mu": 1}]}
+        proc = _gut_shell("generate", json.dumps(document), ">/dev/full")
+        self.assert_one_error_line(proc, 1)
+        assert b"No space left on device" in proc.stderr
+
+    def test_closed_stdin_usage_error(self):
+        proc = _gut_shell("validate", "-", "<&-")
+        self.assert_one_error_line(proc, 2)
+        assert proc.stderr == b"error: cannot read '-': stdin is closed\n"
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -3,8 +3,10 @@
 Each case hashes the ``cli.main()`` stdout of every seed in ``SEEDS`` (or
 ``DOC_SEEDS``), in order, into one SHA-256.  The ``generate`` digests were recorded before the
 sampler was vectorised, the ``decide``, ``cluster`` and ``validate`` ones
-before the JSON writer replaced ``json.dumps``; a change to the draw order,
-the arithmetic or the render shows here as a digest mismatch.
+before the JSON writer replaced ``json.dumps``, and the table-format ones
+of ``cluster``, ``generate`` and ``validate`` before stdout was written as
+UTF-8 whatever the locale; a change to the draw order, the arithmetic, the
+render or the write shows here as a digest mismatch.
 """
 
 import functools
@@ -56,11 +58,11 @@ GENERATE_CASES = {
 }
 
 
-def generate_digest(capsys, distributions) -> str:
+def generate_digest(capsys, distributions, fmt="json") -> str:
     digest = hashlib.sha256()
     text = json.dumps({"k": K, "distributions": distributions})
     for seed in SEEDS:
-        code = main(["generate", "--input", text, "--seed", str(seed), "--format", "json"])
+        code = main(["generate", "--input", text, "--seed", str(seed), "--format", fmt])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
         digest.update(captured.out.encode())
@@ -70,6 +72,12 @@ def generate_digest(capsys, distributions) -> str:
 @pytest.mark.parametrize("case", sorted(GENERATE_CASES))
 def test_generate_stdout_digest(capsys, case):
     assert generate_digest(capsys, GENERATE_CASES[case]) == GENERATE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+def test_generate_table_digest(capsys, case):
+    digest = generate_digest(capsys, GENERATE_CASES[case], "table")
+    assert digest == TABLE_DIGESTS[f"generate-{case}"]
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +254,47 @@ def test_validate_stdout_digest(capsys, case):
     argv = ["validate", "--format", "json"]
     digest = grid_digest(capsys, VALIDATE_CASES[case], argv, 0 if case == "valid" else 1, check)
     assert digest == GRID_DIGESTS[f"validate-{case}"]
+
+
+# ---------------------------------------------------------------------------
+# The table format of cluster, generate and validate, on the same grids.
+
+TABLE_DIGESTS = {
+    "cluster-0": "e1133314eab48568af69f092415e821c804fb7e24ccd8b4fae08b48ccf1e189e",
+    "cluster-0.01": "a7ae574a92cee54beaaad608bd33519462ca7738d4c973c8b56993bcf6a89719",
+    "cluster-0.3": "71f6b7abcac10ec4b2b4393a66265983e0e8dd3de36030586945de214fcfbfe0",
+    "cluster-1e-05": "04e1f93609e156045743e6bb1eedf654b4963029b7a84cc7b75e820681ecb233",
+    "cluster-1e300": "7f2cc150985601f75dc413ec67febe4953d194565da35f4b7c95603cc1787489",
+    "cluster-2.5": "8ab715e5ebeee8f0472f75b4d1e95475247d72a3a1bbac6860dfddcebec23d3e",
+    "generate-exponential-1": "e6747658f50e390528820981e80a917108fa96b68515487b4186e4ce79f5f5b8",
+    "generate-exponential-3": "b53dbd10a1cef33e81d2bf5891edd3308074950969e16556503ab46bf94dee20",
+    "generate-mixed-3": "a038f69d56ce84b4a4d5572bc865bad28789d2d5268ced436324b9fa5843ec39",
+    "generate-normal-1": "bc00a0c2526f3ee74c9a0bdd7f7f075e54713c57d32d2ae1f99aa4be83b6e6c6",
+    "generate-normal-3": "05e70ac7142315b7ac3846f5cee754b0516140a77765a465e19aea5122fdfe75",
+    "generate-uniform-1": "1f1865c85ccfe84c42706b6c5e1b6be73338d2664fc09cb4eb6e32dc79837204",
+    "generate-uniform-3": "2a6dac5d3a2b8b5c3ff98db72b5d91ab2a501c3edb20a4b557c6163820e0b782",
+    "validate-invalid": "0f16d4656391690f939fdac432243c178b0fb9af8ba299a85f441da7f7052c86",
+    "validate-overflow": "9af707ad78b51e341f1cef8e7c8900c6af2c7185420fe7e5030b2b2258426bfd",
+    "validate-valid": "565290334d060147a397630926bdbf7d54740c7403a2f33a2bae2337d0f0fd10",
+}
+
+
+@pytest.mark.parametrize("delta", CLUSTER_DELTAS)
+def test_cluster_table_digest(capsys, delta):
+    def check(out):
+        assert out.startswith(f"delta: {float(delta):g}\nclasses: ")
+
+    argv = ["cluster", "--format", "table", "--delta", delta]
+    digest = grid_digest(capsys, cluster_document, argv, 0, check)
+    assert digest == TABLE_DIGESTS[f"cluster-{delta}"]
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_table_digest(capsys, case):
+    def check(out):
+        assert out.startswith("valid: yes\n" if case == "valid" else "valid: no\n")
+        assert ("sum left: n/a\n" in out) == (case == "overflow")
+
+    argv = ["validate", "--format", "table"]
+    digest = grid_digest(capsys, VALIDATE_CASES[case], argv, 0 if case == "valid" else 1, check)
+    assert digest == TABLE_DIGESTS[f"validate-{case}"]
