@@ -164,36 +164,36 @@ def _as_json(obj, pad: str = "") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (stdout text, exit code).
+# Subcommand handlers.  Each returns (stdout text, error line or None).
 
 
-def _run_decide(document: dict, args: argparse.Namespace) -> tuple[str, int]:
+def _run_decide(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
     problem = DecisionProblem.from_dict(
         document, attitude=args.attitude, tolerance=args.tolerance
     )
     report = decide(problem)
     if args.format == "json":
-        return _as_json(report_to_dict(report)), 0
-    return render_decision_table(problem, report), 0
+        return _as_json(report_to_dict(report)), None
+    return render_decision_table(problem, report), None
 
 
-def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[str, int]:
+def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
     delta = args.delta if args.delta is not None else float(document["delta"])
     if math.isinf(delta):
         # JSON has no infinity to echo in the report.
         raise IntervalError(f"delta must be finite, got {delta}")
     classes = classify(document["items"], delta)
     if args.format == "json":
-        return _as_json({"delta": delta, "classes": classes}), 0
+        return _as_json({"delta": delta, "classes": classes}), None
     items = [as_interval(item) for item in document["items"]]
     lines = [f"delta: {delta:g}", f"classes: {len(classes)}"]
     for k, members in enumerate(classes):
         listed = ", ".join(f"{i} {items[i]}" for i in members)
         lines.append(f"class {k + 1}: {listed}")
-    return "\n".join(lines), 0
+    return "\n".join(lines), None
 
 
-def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
+def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
     specs = [DistributionSpec.from_dict(d) for d in document["distributions"]]
     seed = args.seed if args.seed is not None else int(document.get("seed", 0))
     k = int(document["k"])
@@ -205,13 +205,13 @@ def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
         "elements": sequence.elements,
     }
     if args.format == "json":
-        return _as_json(payload), 0
+        return _as_json(payload), None
     lines = [f"seed: {seed}", f"k: {k}", "generator: pcg64"]
     lines += [f"{x:.12g}" for x in sequence.elements]
-    return "\n".join(lines), 0
+    return "\n".join(lines), None
 
 
-def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
+def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
     atoms = document["atoms"]
     assignment = document["gum"]
     mode = args.mode if args.mode is not None else document.get("mode", "coherent")
@@ -246,10 +246,7 @@ def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, int]:
             lines.append("violations:")
             lines += [f"  - {v}" for v in violations]
         text = "\n".join(lines)
-    if violations:
-        print(f"error: invalid space: {'; '.join(violations)}", file=sys.stderr)
-        return text, 1
-    return text, 0
+    return text, f"invalid space: {'; '.join(violations)}" if violations else None
 
 
 _COMMANDS = {
@@ -339,7 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("error: the document is nested too deeply", file=sys.stderr)
         return 2
     try:
-        text, code = handler(document, args)
+        text, failure = handler(document, args)
     except GutError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -363,7 +360,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 1
-    return code
+    if failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ three stages:
    maker takes the smallest uncertainty degree, a seeking one the
    largest.  Ties go to the earliest scheme in input order.
 
+Only the last best scheme of the comparison column can win stage 1 or 2:
+a scheme dominating every rival displaces the best before it on its turn
+and keeps the place, since every later scheme is smaller than it.
+
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
 the attitude stage exists for.
@@ -219,23 +223,27 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     holds a strong or weak advantage and the problem carries no attitude.
     """
     tol = problem.tolerance
+    names = tuple(s.name for s in problem.schemes)
     measures = [n.gum for n in problem.natures]
     geus = tuple(geu(s.payoffs, measures) for s in problem.schemes)
     relations = relation_matrix(geus, tol)
-    m = len(problem.schemes)
+    m = len(names)
     note = None
 
-    def wins(i: int, allowed: tuple[Relation, ...]) -> bool:
-        return all(relations[i][j] in allowed for j in range(m) if j != i)
-
-    selected = next(
-        (i for i in range(m) if wins(i, (Relation.STRONGLY_GREATER,))), None
-    )
-    rationale = SelectionRationale.STRONGLY_ADVANTAGE
-    if selected is None:
-        selected = next((i for i in range(m) if wins(i, _DOMINANT)), None)
+    column: list[ComparisonEntry | None] = [None]
+    best = 0
+    for i in range(1, m):
+        rel = relations[i][best]
+        column.append(ComparisonEntry(names[i], names[best], rel))
+        if rel in _DOMINANT:
+            best = i
+    rivals = relations[best][:best] + relations[best][best + 1:]
+    selected = best
+    if all(rel is Relation.STRONGLY_GREATER for rel in rivals):
+        rationale = SelectionRationale.STRONGLY_ADVANTAGE
+    elif all(rel in _DOMINANT for rel in rivals):
         rationale = SelectionRationale.WEAKLY_ADVANTAGE
-    if selected is None:
+    else:
         # Domination strictly raises the right endpoint, so the scheme with
         # the largest one is never dominated and survivors is never empty.
         survivors = [
@@ -247,7 +255,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "
                 "needed to choose among " +
-                brief(", ".join(repr(problem.schemes[i].name) for i in survivors))
+                brief(", ".join(repr(names[i]) for i in survivors))
             )
         widths = [gud(geus[i]) for i in survivors]
         target = min(widths) if problem.attitude == "averse" else max(widths)
@@ -261,30 +269,16 @@ def decide(problem: DecisionProblem) -> DecisionReport:
         if len(tied) > 1:
             note = (
                 "uncertainty degree tie between "
-                + ", ".join(problem.schemes[i].name for i in tied)
+                + ", ".join(names[i] for i in tied)
                 + "; earliest scheme kept"
             )
 
-    column: list[ComparisonEntry | None] = [None]
-    best = 0
-    for i in range(1, m):
-        rel = relations[i][best]
-        column.append(
-            ComparisonEntry(
-                scheme=problem.schemes[i].name,
-                versus=problem.schemes[best].name,
-                relation=rel,
-            )
-        )
-        if rel in _DOMINANT:
-            best = i
-
     return DecisionReport(
-        scheme_names=tuple(s.name for s in problem.schemes),
+        scheme_names=names,
         geus=geus,
         relations=relations,
         comparison_column=tuple(column),
-        selected=problem.schemes[selected].name,
+        selected=names[selected],
         rationale=rationale,
         attitude=problem.attitude,
         note=note,

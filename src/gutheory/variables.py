@@ -203,8 +203,6 @@ def covariance(joint: JointDiscreteGUVariable) -> CovarianceResult:
 
 ENVELOPE_KINDS = ("free", "density")
 
-_RANGE_SLACK = 1e-9
-
 #: Grid size used by every envelope for validation, quadrature and finite
 #: differences.
 RESOLUTION = 1025
@@ -267,13 +265,13 @@ class GUFunctionEnvelope:
             if not (math.isfinite(f1) and math.isfinite(f2)):
                 problems.append(f"cores must be finite on the domain, failed at x={x:.6g}")
                 return problems
-            if f1 - f2 > _RANGE_SLACK:
+            if f1 - f2 > DEFAULT_TOLERANCE:
                 problems.append(
                     f"lower core exceeds upper core at x={x:.6g} "
                     f"({f1:.6g} > {f2:.6g})"
                 )
                 return problems
-            if self.kind == "density" and f1 < -_RANGE_SLACK:
+            if self.kind == "density" and f1 < -DEFAULT_TOLERANCE:
                 problems.append(f"density core is negative at x={x:.6g}")
                 return problems
         return problems

@@ -741,10 +741,19 @@ class TestStandardStreams:
         self.assert_one_error_line(proc, 1)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("k", [1, 200000], ids=["buffered", "unbuffered"])
-    def test_full_device_exit_one(self, k):
-        document = {"k": k, "distributions": [{"family": "exponential", "mu": 1}]}
-        proc = _gut_shell("generate", json.dumps(document), ">/dev/full")
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("generate", {"k": k, "distributions": [{"family": "exponential", "mu": 1}]})
+            for k in (1, 200000)
+        ]
+        # An invalid space fails twice, in the space and in the write; only
+        # the write failure is reported.
+        + [("validate", {"atoms": ["a"], "gum": {"a": [2, 1]}})],
+        ids=["buffered", "unbuffered", "invalid-space"],
+    )
+    def test_full_device_exit_one(self, command, document):
+        proc = _gut_shell(command, json.dumps(document), ">/dev/full")
         self.assert_one_error_line(proc, 1)
         assert b"No space left on device" in proc.stderr
 

@@ -24,6 +24,7 @@ from gutheory import (
     NatureStatus,
     Relation,
     Scheme,
+    SelectionRationale,
     ValidationError,
     add,
     classify,
@@ -465,7 +466,71 @@ def _outcome(report):
     return report.selected, report.rationale, report.note
 
 
+def _three_scan_selection(problem, report):
+    """Reference selection: stages 1 to 3 as separate scans of
+    ``report.relations``, each scheme in turn, then the comparison column."""
+    relations, m = report.relations, len(problem.schemes)
+    names = [s.name for s in problem.schemes]
+    dominant = (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER)
+
+    def wins(i, allowed):
+        return all(relations[i][j] in allowed for j in range(m) if j != i)
+
+    note = None
+    for allowed, rationale in (
+        ((Relation.STRONGLY_GREATER,), SelectionRationale.STRONGLY_ADVANTAGE),
+        (dominant, SelectionRationale.WEAKLY_ADVANTAGE),
+    ):
+        selected = next((i for i in range(m) if wins(i, allowed)), None)
+        if selected is not None:
+            break
+    else:
+        survivors = [
+            i for i in range(m)
+            if not any(relations[j][i] in dominant for j in range(m) if j != i)
+        ]
+        widths = [gud(report.geus[i]) for i in survivors]
+        averse = problem.attitude == "averse"
+        target = min(widths) if averse else max(widths)
+        tied = [i for i, w in zip(survivors, widths) if abs(w - target) <= problem.tolerance]
+        selected = tied[0]
+        rationale = (
+            SelectionRationale.RISK_AVERSE_MIN_GUD
+            if averse
+            else SelectionRationale.RISK_SEEKING_MAX_GUD
+        )
+        if len(tied) > 1:
+            note = (
+                "uncertainty degree tie between "
+                + ", ".join(names[i] for i in tied)
+                + "; earliest scheme kept"
+            )
+    column, best = [None], 0
+    for i in range(1, m):
+        rel = relations[i][best]
+        column.append((names[i], names[best], rel))
+        if rel in dominant:
+            best = i
+    return names[selected], rationale, note, column
+
+
 class TestDecideMetamorphic:
+    @settings(max_examples=300)
+    @given(decision_problems())
+    @example(
+        DecisionProblem(
+            (NatureStatus("N0", GUInterval(0.5, 0.5)),),
+            (Scheme("S0", (1.0,)),),
+            attitude="averse",
+        )
+    )
+    def test_selection_equals_three_scans_of_the_matrix(self, problem):
+        report = decide(problem)
+        column = [
+            None if entry is None else (entry.scheme, entry.versus, entry.relation)
+            for entry in report.comparison_column
+        ]
+        assert (*_outcome(report), column) == _three_scan_selection(problem, report)
     @given(decision_problems(), st.data())
     def test_nature_permutation_changes_nothing(self, problem, data):
         order = data.draw(st.permutations(range(len(problem.natures))))
