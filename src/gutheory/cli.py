@@ -154,7 +154,10 @@ def _as_json(obj, pad: str = "") -> str:
         if kinds == {float}:
             body = sep.join(_float_texts(obj))
         elif kinds == {str}:
-            body = sep.join(map(_encode_str, obj))
+            # Each distinct text is encoded once: a relation matrix row
+            # repeats seven texts.
+            texts = {text: _encode_str(text) for text in set(obj)}
+            body = sep.join(map(texts.__getitem__, obj))
         elif kinds == {int}:
             body = sep.join(map(int.__repr__, obj))
         else:

@@ -17,6 +17,13 @@ Only the last best scheme of the comparison column can win stage 1 or 2:
 a scheme dominating every rival displaces the best before it on its turn
 and keeps the place, since every later scheme is smaller than it.
 
+``decide`` compares only the pairs the selection reads: the column, the
+last best against the schemes before it (the column already holds its
+relation to every later one), and at stage 3 each scheme against its
+rivals up to the first that dominates it.  The full relation matrix is
+built only when ``DecisionReport.relations`` is read, as the JSON report
+does; the table never reads it.
+
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
 the attitude stage exists for.
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AttitudeRequiredError, ValidationError, brief
@@ -35,6 +43,7 @@ from .intervals import (
     GUInterval,
     IntervalLike,
     Relation,
+    _classify,
     as_interval,
     compare,
     endpoint_sum,
@@ -179,15 +188,16 @@ def geu(payoffs: Sequence[float], measures: Sequence[IntervalLike]) -> GUInterva
 class DecisionReport:
     """Everything the selection procedure concluded, in scheme input order.
 
-    ``relations[i][j]`` classifies GEU(i) against GEU(j).  The comparison
-    column mimics a hand-worked table: each scheme after the first is
-    compared against the best scheme so far, and ``None`` marks the first
-    row.  ``note`` is set when a tie had to be broken.
+    The comparison column mimics a hand-worked table: each scheme after the
+    first is compared against the best scheme so far, and ``None`` marks
+    the first row.  ``note`` is set when a tie had to be broken.
+    ``relations[i][j]`` classifies GEU(i) against GEU(j) under
+    ``tolerance``; it is built by :func:`relation_matrix` on first read.
     """
 
     scheme_names: tuple[str, ...]
     geus: tuple[GUInterval, ...]
-    relations: tuple[tuple[Relation, ...], ...]
+    tolerance: float
     comparison_column: tuple[ComparisonEntry | None, ...]
     selected: str
     rationale: SelectionRationale
@@ -198,21 +208,28 @@ class DecisionReport:
     def selected_index(self) -> int:
         return self.scheme_names.index(self.selected)
 
+    @cached_property
+    def relations(self) -> tuple[tuple[Relation, ...], ...]:
+        return relation_matrix(self.geus, self.tolerance)
+
 
 def relation_matrix(
     geus: Sequence[GUInterval], tol: float = DEFAULT_TOLERANCE
 ) -> tuple[tuple[Relation, ...], ...]:
     """Pairwise comparison table; the diagonal is ``Equal``.
 
-    Each pair is classified once: a cell below the diagonal mirrors the
+    Each GEU and ``tol`` are checked once, by comparing the GEU with itself,
+    and each pair is classified once: a cell below the diagonal mirrors the
     cell above it, since ``compare(b, a) is compare(a, b).mirrored``.
     """
+    for g in geus:
+        compare(g, g, tol)
     rows: list[tuple[Relation, ...]] = []
     for i, gi in enumerate(geus):
-        rows.append(tuple(
-            rows[j][i].mirrored if j < i else compare(gi, gj, tol)
-            for j, gj in enumerate(geus)
-        ))
+        a1, b1 = gi.left, gi.right
+        row = [r[i].mirrored for r in rows]
+        row += [_classify(a1, b1, g.left, g.right, tol) for g in geus[i:]]
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -226,18 +243,19 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     names = tuple(s.name for s in problem.schemes)
     measures = [n.gum for n in problem.natures]
     geus = tuple(geu(s.payoffs, measures) for s in problem.schemes)
-    relations = relation_matrix(geus, tol)
     m = len(names)
     note = None
 
     column: list[ComparisonEntry | None] = [None]
     best = 0
     for i in range(1, m):
-        rel = relations[i][best]
+        rel = compare(geus[i], geus[best], tol)
         column.append(ComparisonEntry(names[i], names[best], rel))
         if rel in _DOMINANT:
             best = i
-    rivals = relations[best][:best] + relations[best][best + 1:]
+    # Each scheme after the last best met it in the column.
+    rivals = [compare(geus[best], geus[j], tol) for j in range(best)]
+    rivals += [entry.relation.mirrored for entry in column[best + 1:]]
     selected = best
     if all(rel is Relation.STRONGLY_GREATER for rel in rivals):
         rationale = SelectionRationale.STRONGLY_ADVANTAGE
@@ -249,7 +267,9 @@ def decide(problem: DecisionProblem) -> DecisionReport:
         survivors = [
             i
             for i in range(m)
-            if not any(relations[j][i] in _DOMINANT for j in range(m) if j != i)
+            if not any(
+                compare(geus[j], geus[i], tol) in _DOMINANT for j in range(m) if j != i
+            )
         ]
         if problem.attitude is None:
             raise AttitudeRequiredError(
@@ -276,7 +296,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     return DecisionReport(
         scheme_names=names,
         geus=geus,
-        relations=relations,
+        tolerance=tol,
         comparison_column=tuple(column),
         selected=names[selected],
         rationale=rationale,

@@ -220,7 +220,8 @@ class Relation(Enum):
 
 
 # A plain attribute set once, not a property: ``relation_matrix`` reads it
-# for every cell below the diagonal.
+# for every cell below the diagonal, and ``decide`` for the column entries
+# after the last best.
 for _a, _b in (
     (Relation.EQUAL, Relation.EQUAL),
     (Relation.STRONGLY_SMALLER, Relation.STRONGLY_GREATER),
@@ -261,8 +262,12 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
             raise IntervalError(f"comparison needs proper intervals, got {i}")
     if not 0.0 <= tol < math.inf:
         raise IntervalError(f"tolerance must be finite and nonnegative, got {tol}")
-    a1, b1 = i1.left, i1.right
-    a2, b2 = i2.left, i2.right
+    return _classify(i1.left, i1.right, i2.left, i2.right, tol)
+
+
+def _classify(a1: float, b1: float, a2: float, b2: float, tol: float) -> Relation:
+    """:func:`compare` on the endpoints ``[a1, b1]`` and ``[a2, b2]``, which
+    the caller has already checked, as it has ``tol``."""
     eq_left = abs(a1 - a2) <= tol
     eq_right = abs(b1 - b2) <= tol
     if eq_left and eq_right:

@@ -3,7 +3,8 @@
 Each case hashes the ``cli.main()`` stdout of every seed in ``SEEDS`` (or
 ``DOC_SEEDS``), in order, into one SHA-256.  The ``generate`` digests were recorded before the
 sampler was vectorised, the ``decide``, ``cluster`` and ``validate`` ones
-before the JSON writer replaced ``json.dumps``, and the table-format ones
+before the JSON writer replaced ``json.dumps`` (the stage-2 ``weak`` ones
+before ``decide`` stopped building the relation matrix), and the table-format ones
 of ``cluster``, ``generate`` and ``validate`` before stdout was written as
 UTF-8 whatever the locale; a change to the draw order, the arithmetic, the
 render or the write shows here as a digest mismatch.
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from gutheory import decisions
 from gutheory.cli import main
 
 SEEDS = range(100)
@@ -166,6 +168,25 @@ def overflowing_space(rng: random.Random) -> dict:
     return {"atoms": atoms, "gum": gum}
 
 
+def weak_problem(rng: random.Random) -> dict:
+    """A stage-2 problem: wide measures and one scheme paying at least every
+    other payoff on each status, so its GEU dominates every rival's, while
+    one rival paying 80 to 90% of it overlaps it, so it is weakly but not
+    strongly greater."""
+    natures = []
+    for j in range(rng.randint(2, 5)):
+        left = rng.uniform(0.0, 0.3)
+        natures.append({"name": f"Status {j + 1}", "gum": [left, left + rng.uniform(0.2, 0.6)]})
+    scale = rng.uniform(0.1, 1.0) * 10.0 ** rng.randint(0, 14)
+    top = [rng.uniform(0.5, 1.0) * scale for _ in natures]
+    rows = [[p * rng.uniform(0.0, 0.9) for p in top] for _ in range(rng.randint(1, 25))]
+    rows.append([p * rng.uniform(0.8, 0.9) for p in top])
+    rng.shuffle(rows)
+    rows.insert(rng.randrange(len(rows) + 1), top)
+    schemes = [{"name": f"W{i}\u00b7", "payoffs": row} for i, row in enumerate(rows)]
+    return {"natures": natures, "schemes": schemes}
+
+
 TIED = functools.partial(wide_problem, tied=True)
 
 DECIDE_CASES = {
@@ -177,6 +198,8 @@ DECIDE_CASES = {
     "tied-averse-json": (TIED, ["--format", "json", "--attitude", "averse"]),
     "tied-seeking-json": (TIED, ["--format", "json", "--attitude", "seeking"]),
     "tied-seeking-table": (TIED, ["--format", "table", "--attitude", "seeking"]),
+    "weak-json": (weak_problem, ["--format", "json"]),
+    "weak-table": (weak_problem, ["--format", "table"]),
 }
 
 VALIDATE_CASES = {
@@ -199,6 +222,8 @@ GRID_DIGESTS = {
     "decide-tied-averse-json": "51912c1321008f77753f4a4289bb96f1a2146ba5ade32a663aa527f927292860",
     "decide-tied-seeking-json": "616031317b4bd625a1d80c84ad821ea15b1d316804670ee78796fb28695e5395",
     "decide-tied-seeking-table": "f53a42042eae2d7b597f4adfc647eddc7ccd8c24817aa33ace3bbef326dc1a62",
+    "decide-weak-json": "b11f4f800af5df0db10abb094cdcb670ad48b162a922ae3207b99910bf4cc4b3",
+    "decide-weak-table": "af4f61af0ae09d535ac7d8a1a0f7830d0878e8e5ec25788bbc886b3b28e5b7f6",
     "decide-wide-averse-json": "192c087aae6f4eeaa7d25ea7960d61def97c7143019c78cf8468436d31778858",
     "decide-wide-averse-table": "14258d7857dc0cdb9b09e6f4d7176f1a2f4f09b4c6fedebb7a5cd7de4d27f855",
     "decide-wide-seeking-json": "903078a638fb0f54cbb388db8a8385f461911ad3b1ebee1360477038eb6b2a53",
@@ -228,9 +253,21 @@ def test_decide_stdout_digest(capsys, case):
 
     def check(out):
         assert ("StronglyAdvantage" in out) == (kind == "narrow")
+        assert ("WeaklyAdvantage" in out) == (kind == "weak")
         assert ("tie between" in out) == (kind == "tied")
 
     digest = grid_digest(capsys, build, ["decide", *argv], 0, check)
+    assert digest == GRID_DIGESTS[f"decide-{case}"]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in DECIDE_CASES if c.endswith("-table")))
+def test_decide_table_never_builds_the_matrix(capsys, monkeypatch, case):
+    def refuse(*args):
+        raise AssertionError("the table read the relation matrix")
+
+    monkeypatch.setattr(decisions, "relation_matrix", refuse)
+    build, argv = DECIDE_CASES[case]
+    digest = grid_digest(capsys, build, ["decide", *argv], 0, lambda out: None)
     assert digest == GRID_DIGESTS[f"decide-{case}"]
 
 

@@ -6,6 +6,7 @@ float inputs get machine-precision bounds instead.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,7 +47,9 @@ from gutheory import (
     normalize,
     sub,
 )
+from gutheory import decisions
 from gutheory.decisions import ATTITUDES, relation_matrix
+from gutheory.intervals import _classify
 from gutheory.variables import RESOLUTION
 
 DEN = 1 << 20
@@ -431,6 +434,14 @@ class TestRelationMatrix:
             relation_matrix(geus, tol)
 
 
+@given(tied_geu_lists())
+def test_classifier_matches_compare(drawn):
+    geus, tol = drawn
+    for i1 in geus:
+        for i2 in geus:
+            assert _classify(i1.left, i1.right, i2.left, i2.right, tol) is compare(i1, i2, tol)
+
+
 @st.composite
 def decision_problems(draw, positive=False):
     """Problems mixing grid values, which tie often, with generic floats.
@@ -531,6 +542,16 @@ class TestDecideMetamorphic:
             for entry in report.comparison_column
         ]
         assert (*_outcome(report), column) == _three_scan_selection(problem, report)
+
+    @given(decision_problems())
+    def test_stages_one_and_two_compare_at_most_twice_per_rival(self, problem):
+        with mock.patch.object(decisions, "compare", wraps=decisions.compare) as counted:
+            report = decide(problem)
+        assume(report.rationale in (
+            SelectionRationale.STRONGLY_ADVANTAGE, SelectionRationale.WEAKLY_ADVANTAGE
+        ))
+        assert counted.call_count <= 2 * (len(problem.schemes) - 1)
+
     @given(decision_problems(), st.data())
     def test_nature_permutation_changes_nothing(self, problem, data):
         order = data.draw(st.permutations(range(len(problem.natures))))
