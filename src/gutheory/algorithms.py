@@ -28,7 +28,7 @@ STANDARD = {
 
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three distributions, ``gut generate --format json`` peaks at about
-#: 176 MB of resident memory for one family and 233 MB for mixed families.
+#: 119 MB of resident memory for one family and 173 MB for mixed families.
 MAX_K = 1_000_000
 
 #: The most candidate draws (``k`` times the number of distributions) that

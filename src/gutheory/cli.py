@@ -13,6 +13,15 @@ violates a domain rule or stdout cannot be written, 2 when the input
 cannot be read or fails its schema.  JSON output rounds floats to twelve
 significant digits and is byte-identical across runs of the same
 invocation.
+
+A large report is never held whole: a handler may return its stdout as
+pieces (a member of a JSON container, a slice of a flat list), and
+``main`` joins them and writes whole multiples of 64 KiB, the default
+capacity of a Linux pipe, carrying the rest over.  A reader of the pipe
+then gets full 64 KiB reads, as from one large write.  Ragged writes
+gave a benchmark's launcher many short reads, which raised its own peak
+memory, and Linux counts a process's peak into that of every child it
+starts afterwards.  Stdout returned as one string is written whole.
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algorithms import DistributionSpec, classify, generate_sequence
 from .decisions import (
@@ -122,81 +132,123 @@ def _float_texts(values) -> list[str]:
     ]
 
 
-def _as_json(obj, pad: str = "") -> str:
+#: Elements of a flat list formatted per piece of stdout.
+_SLICE = 4096
+
+#: ``main`` writes stdout in multiples of this many characters (bytes, for
+#: JSON, which is ASCII): the default capacity of a Linux pipe.
+_BLOCK = 1 << 16
+
+
+def _flat_texts(values):
+    """A function from a slice of ``values`` to the JSON texts of its
+    elements when every element has the same scalar type, else None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _float_texts
+    if kinds == {str}:
+        # Each distinct text is encoded once: a relation matrix row repeats
+        # seven texts.
+        def texts(part):
+            encoded = {text: _encode_str(text) for text in set(part)}
+            return map(encoded.__getitem__, part)
+        return texts
+    if kinds == {int}:
+        return lambda part: map(int.__repr__, part)
+    return None
+
+
+def _json_pieces(obj, pad: str = ""):
     """``obj`` as ``json.dumps(..., indent=2)`` prints it once every float is
     rounded to 12 significant digits; tuples print as lists.  ``pad`` is the
-    indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, float):
-        return _float_texts((obj,))[0]
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = sep.join(
-            f"{_encode_str(key)}: {_as_json(value, inner)}" for key, value in obj.items()
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            body = sep.join(_float_texts(obj))
-        elif kinds == {str}:
-            # Each distinct text is encoded once: a relation matrix row
-            # repeats seven texts.
-            texts = {text: _encode_str(text) for text in set(obj)}
-            body = sep.join(map(texts.__getitem__, obj))
-        elif kinds == {int}:
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join(_as_json(value, inner) for value in obj)
-        return f"[\n{inner}{body}\n{pad}]"
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    indent of the line ``obj`` starts on.  The text comes in pieces: one per
+    member of a container, or more for a large member, and one per
+    ``_SLICE`` elements of a flat list, so a caller can write a large
+    report without holding all of it."""
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            opening = "{\n" + inner
+            for key, value in obj.items():
+                pieces = _json_pieces(value, inner)
+                yield f"{opening}{_encode_str(key)}: {next(pieces)}"
+                yield from pieces
+                opening = sep
+            yield f"\n{pad}}}"
+            return
+        texts = _flat_texts(obj)
+        if texts is None:
+            opening = "[\n" + inner
+            for value in obj:
+                pieces = _json_pieces(value, inner)
+                yield opening + next(pieces)
+                yield from pieces
+                opening = sep
+            yield f"\n{pad}]"
+            return
+        for start in range(0, len(obj), _SLICE):
+            opening = sep if start else "[\n" + inner
+            closing = f"\n{pad}]" if start + _SLICE >= len(obj) else ""
+            yield opening + sep.join(texts(obj[start:start + _SLICE])) + closing
+    elif isinstance(obj, str):
+        yield _encode_str(obj)
+    elif isinstance(obj, float):
+        yield _float_texts((obj,))[0]
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, (dict, list, tuple)):
+        yield "{}" if isinstance(obj, dict) else "[]"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _as_json(obj) -> str:
+    """``obj`` as one string; see :func:`_json_pieces`."""
+    return "".join(_json_pieces(obj))
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (stdout text, error line or None).
+# Subcommand handlers.  Each returns (stdout, error line or None), where
+# stdout is one string or an iterable of pieces of text, which ``main``
+# writes in whole multiples of ``_BLOCK`` characters.  A handler does all
+# its domain work before it returns, and the pieces only format its
+# results, so a GutError still leaves stdout empty.
 
 
-def _run_decide(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
+def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
     problem = DecisionProblem.from_dict(
         document, attitude=args.attitude, tolerance=args.tolerance
     )
     report = decide(problem)
     if args.format == "json":
-        return _as_json(report_to_dict(report)), None
+        return _json_pieces(report_to_dict(report)), None
     return render_decision_table(problem, report), None
 
 
-def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
+def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
     delta = args.delta if args.delta is not None else float(document["delta"])
     if math.isinf(delta):
         # JSON has no infinity to echo in the report.
         raise IntervalError(f"delta must be finite, got {delta}")
     classes = classify(document["items"], delta)
     if args.format == "json":
-        return _as_json({"delta": delta, "classes": classes}), None
+        return _json_pieces({"delta": delta, "classes": classes}), None
     items = [as_interval(item) for item in document["items"]]
-    lines = [f"delta: {delta:g}", f"classes: {len(classes)}"]
+    lines = [f"delta: {delta:g}\nclasses: {len(classes)}"]
     for k, members in enumerate(classes):
         listed = ", ".join(f"{i} {items[i]}" for i in members)
-        lines.append(f"class {k + 1}: {listed}")
-    return "\n".join(lines), None
+        lines.append(f"\nclass {k + 1}: {listed}")
+    return lines, None
 
 
-def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
+def _run_generate(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
     specs = [DistributionSpec.from_dict(d) for d in document["distributions"]]
     seed = args.seed if args.seed is not None else int(document.get("seed", 0))
     k = int(document["k"])
@@ -208,10 +260,13 @@ def _run_generate(document: dict, args: argparse.Namespace) -> tuple[str, str | 
         "elements": sequence.elements,
     }
     if args.format == "json":
-        return _as_json(payload), None
-    lines = [f"seed: {seed}", f"k: {k}", "generator: pcg64"]
-    lines += [f"{x:.12g}" for x in sequence.elements]
-    return "\n".join(lines), None
+        return _json_pieces(payload), None
+    elements = sequence.elements
+    body = (
+        "".join(f"\n{x:.12g}" for x in elements[start:start + _SLICE])
+        for start in range(0, len(elements), _SLICE)
+    )
+    return chain([f"seed: {seed}\nk: {k}\ngenerator: pcg64"], body), None
 
 
 def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, str | None]:
@@ -355,7 +410,23 @@ def main(argv: Sequence[str] | None = None) -> int:
             # what UTF-8 cannot encode.  A stream of str, such as a
             # StringIO, encodes nothing.
             stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
-        print(text, file=stdout)
+        if isinstance(text, str):
+            print(text, file=stdout)
+        else:
+            block, size = [], 0
+            for piece in text:
+                block.append(piece)
+                size += len(piece)
+                if size >= _BLOCK:
+                    # Write whole blocks: cut the last piece, which took
+                    # the size past a multiple of _BLOCK, and carry its tail.
+                    last = block.pop()
+                    cut = len(last) - size % _BLOCK
+                    block.append(last[:cut])
+                    stdout.write("".join(block))
+                    block, size = [last[cut:]], size % _BLOCK
+            block.append("\n")
+            stdout.write("".join(block))
         stdout.flush()
     except OSError as exc:
         # The reader went away or the device is full.  Point stdout at the

@@ -20,9 +20,10 @@ and keeps the place, since every later scheme is smaller than it.
 ``decide`` compares only the pairs the selection reads: the column, the
 last best against the schemes before it (the column already holds its
 relation to every later one), and at stage 3 each scheme against its
-rivals up to the first that dominates it.  The full relation matrix is
-built only when ``DecisionReport.relations`` is read, as the JSON report
-does; the table never reads it.
+rivals up to the first that dominates it, each unordered pair at most
+once.  The full relation matrix is built only when
+``DecisionReport.relations`` is read, as the JSON report does; the table
+never reads it.
 
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
@@ -262,15 +263,29 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     elif all(rel in _DOMINANT for rel in rivals):
         rationale = SelectionRationale.WEAKLY_ADVANTAGE
     else:
+        # Each scan stops at the first dominator and records in reach[i]
+        # the rivals it covered; it marks each later rival it dominates, so
+        # a later scan skips a dominated scheme and any rival whose scan
+        # covered the pair.  Each unordered pair is compared at most once.
         # Domination strictly raises the right endpoint, so the scheme with
         # the largest one is never dominated and survivors is never empty.
-        survivors = [
-            i
-            for i in range(m)
-            if not any(
-                compare(geus[j], geus[i], tol) in _DOMINANT for j in range(m) if j != i
-            )
-        ]
+        dominated = [False] * m
+        reach = [0] * m
+        for i in range(m):
+            if dominated[i]:
+                continue
+            reach[i] = m
+            for j in range(m):
+                if j == i or j < i and reach[j] > i:
+                    continue
+                rel = compare(geus[j], geus[i], tol)
+                if rel in _DOMINANT:
+                    dominated[i] = True
+                    reach[i] = j + 1
+                    break
+                if j > i and rel.mirrored in _DOMINANT:
+                    dominated[j] = True
+        survivors = [i for i in range(m) if not dominated[i]]
         if problem.attitude is None:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "

@@ -12,6 +12,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from gutheory import (
+    DecisionProblem,
+    DistributionSpec,
+    cli,
+    decide,
+    generate_sequence,
+    report_to_dict,
+)
 from gutheory.algorithms import MAX_DRAWS, MAX_K
 from gutheory.cli import main
 
@@ -761,6 +769,67 @@ class TestStandardStreams:
         proc = _gut_shell("validate", "-", "<&-")
         self.assert_one_error_line(proc, 2)
         assert proc.stderr == b"error: cannot read '-': stdin is closed\n"
+
+
+class _RecordedStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+NESTED_400 = {
+    "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
+    "schemes": [{"name": f"S{i}", "payoffs": [i, 1000 - 0.6 * i]} for i in range(400)],
+    "attitude": "averse",
+}
+
+GENERATE_100K = {
+    "k": 100_000,
+    "distributions": [
+        {"family": "normal", "mu": 0, "sigma2": 1},
+        {"family": "exponential", "mu": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, document, payload",
+    [
+        (
+            "decide",
+            NESTED_400,
+            lambda: report_to_dict(decide(DecisionProblem.from_dict(NESTED_400))),
+        ),
+        (
+            "generate",
+            GENERATE_100K,
+            lambda: {
+                "seed": 0,
+                "k": 100_000,
+                "generator": "pcg64",
+                "elements": generate_sequence(
+                    [DistributionSpec.from_dict(d) for d in GENERATE_100K["distributions"]],
+                    100_000,
+                    0,
+                ).elements,
+            },
+        ),
+    ],
+    ids=["decide-400", "generate-100000"],
+)
+def test_large_report_is_written_in_blocks(monkeypatch, command, document, payload):
+    report = cli._as_json(payload())
+    stdout = _RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, "--input", json.dumps(document), "--format", "json"]) == 0
+    assert "".join(stdout.writes) == report + "\n"
+    assert all(len(text) < len(report) for text in stdout.writes)
+    # Whole pipe-sized blocks but the last, so a reader gets full reads.
+    assert all(len(text) % cli._BLOCK == 0 for text in stdout.writes[:-1])
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gutheory.cli import _as_json
+from gutheory.cli import _SLICE, _as_json
 
 
 def _round12(obj):
@@ -105,4 +105,11 @@ def test_boundary_floats(x):
 
 def test_empty_containers_and_nesting():
     payload = {"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": [{}]}, "": None}
+    assert _as_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+def test_float_lists_around_the_slice_size(n):
+    values = [(-1) ** i * (i + 0.1) / 7 for i in range(n)]
+    payload = {"outer": {"elements": values, "after": [values[:3], n]}, "n": n}
     assert _as_json(payload) == reference(payload)
