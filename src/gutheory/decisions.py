@@ -33,9 +33,7 @@ the attitude stage exists for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AttitudeRequiredError, ValidationError, brief
@@ -45,6 +43,7 @@ from .intervals import (
     IntervalLike,
     Relation,
     _classify,
+    _Frozen,
     as_interval,
     compare,
     endpoint_sum,
@@ -56,20 +55,30 @@ ATTITUDES = ("averse", "seeking")
 _DOMINANT = (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER)
 
 
-@dataclass(frozen=True, slots=True)
-class NatureStatus:
+class NatureStatus(_Frozen):
     """A possible state of the world with its interval measure."""
+
+    __slots__ = __match_args__ = ("name", "gum")
 
     name: str
     gum: GUInterval
 
+    def __init__(self, name: str, gum: GUInterval) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "gum", gum)
 
-@dataclass(frozen=True, slots=True)
-class Scheme:
+
+class Scheme(_Frozen):
     """A course of action with one payoff per nature status."""
+
+    __slots__ = __match_args__ = ("name", "payoffs")
 
     name: str
     payoffs: tuple[float, ...]
+
+    def __init__(self, name: str, payoffs: tuple[float, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "payoffs", payoffs)
 
 
 @unique
@@ -82,24 +91,41 @@ class SelectionRationale(Enum):
     RISK_SEEKING_MAX_GUD = "RiskSeekingMaxGud"
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonEntry:
+class ComparisonEntry(_Frozen):
     """One row of the running comparison column: how ``scheme`` relates to
     the best scheme seen before it."""
+
+    __slots__ = __match_args__ = ("scheme", "versus", "relation")
 
     scheme: str
     versus: str
     relation: Relation
 
+    def __init__(self, scheme: str, versus: str, relation: Relation) -> None:
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "versus", versus)
+        object.__setattr__(self, "relation", relation)
 
-@dataclass(frozen=True)
-class DecisionProblem:
+
+class DecisionProblem(_Frozen):
+    __slots__ = __match_args__ = ("natures", "schemes", "attitude", "tolerance")
+
     natures: tuple[NatureStatus, ...]
     schemes: tuple[Scheme, ...]
-    attitude: str | None = None
-    tolerance: float = DEFAULT_TOLERANCE
+    attitude: str | None
+    tolerance: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        natures: tuple[NatureStatus, ...],
+        schemes: tuple[Scheme, ...],
+        attitude: str | None = None,
+        tolerance: float = DEFAULT_TOLERANCE,
+    ) -> None:
+        object.__setattr__(self, "natures", natures)
+        object.__setattr__(self, "schemes", schemes)
+        object.__setattr__(self, "attitude", attitude)
+        object.__setattr__(self, "tolerance", tolerance)
         problems = []
         if not self.natures:
             problems.append("at least one nature status is required")
@@ -185,8 +211,7 @@ def geu(payoffs: Sequence[float], measures: Sequence[IntervalLike]) -> GUInterva
     return endpoint_sum(measures, payoffs)
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(_Frozen):
     """Everything the selection procedure concluded, in scheme input order.
 
     The comparison column mimics a hand-worked table: each scheme after the
@@ -196,6 +221,12 @@ class DecisionReport:
     ``tolerance``; it is built by :func:`relation_matrix` on first read.
     """
 
+    __match_args__ = (
+        "scheme_names", "geus", "tolerance", "comparison_column", "selected",
+        "rationale", "attitude", "note",
+    )
+    __slots__ = (*__match_args__, "_relations")
+
     scheme_names: tuple[str, ...]
     geus: tuple[GUInterval, ...]
     tolerance: float
@@ -203,15 +234,33 @@ class DecisionReport:
     selected: str
     rationale: SelectionRationale
     attitude: str | None
-    note: str | None = None
+    note: str | None
+
+    def __init__(
+        self,
+        scheme_names: tuple[str, ...],
+        geus: tuple[GUInterval, ...],
+        tolerance: float,
+        comparison_column: tuple[ComparisonEntry | None, ...],
+        selected: str,
+        rationale: SelectionRationale,
+        attitude: str | None,
+        note: str | None = None,
+    ) -> None:
+        values = (scheme_names, geus, tolerance, comparison_column, selected,
+                  rationale, attitude, note, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def selected_index(self) -> int:
         return self.scheme_names.index(self.selected)
 
-    @cached_property
+    @property
     def relations(self) -> tuple[tuple[Relation, ...], ...]:
-        return relation_matrix(self.geus, self.tolerance)
+        if self._relations is None:
+            object.__setattr__(self, "_relations", relation_matrix(self.geus, self.tolerance))
+        return self._relations
 
 
 def relation_matrix(
@@ -342,6 +391,21 @@ def _fmt_interval(iv: GUInterval) -> str:
     return f"[{_fmt(iv.left)},{_fmt(iv.right)}]"
 
 
+def _width(cell: str) -> int:
+    """How many columns ``cell`` takes once written as UTF-8 with
+    ``backslashreplace``: a code point UTF-8 cannot encode prints as its
+    backslash escape, and an East Asian wide or fullwidth one takes two."""
+    if cell.isascii():
+        return len(cell)
+    from unicodedata import east_asian_width
+
+    return sum(
+        len(c.encode("utf-8", "backslashreplace")) if "\ud800" <= c <= "\udfff"
+        else 2 if east_asian_width(c) in ("W", "F") else 1
+        for c in cell
+    )
+
+
 def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> str:
     """Plain-text table: one column per status, then GEU and comparison."""
     header = ["/"] + [n.name for n in problem.natures] + ["GEU", "Comparison"]
@@ -364,11 +428,15 @@ def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> s
             + [_fmt(p) for p in scheme.payoffs]
             + [_fmt_interval(report.geus[i]), comparison]
         )
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
+    # An ASCII cell prints one column per character, so an ASCII row pads
+    # each cell to its column's width as it stands.
+    ascii_rows = ["".join(row).isascii() for row in rows]
+    measure = len if all(ascii_rows) else _width
+    widths = [max(map(measure, column)) for column in zip(*rows)]
+    lines = []
+    for row, is_ascii in zip(rows, ascii_rows):
+        pads = widths if is_ascii else [w + len(c) - _width(c) for c, w in zip(row, widths)]
+        lines.append("  ".join(map(str.ljust, row, pads)).rstrip())
     lines.append("")
     lines.append(f"selected: {report.selected} ({report.rationale.value})")
     if report.attitude:

@@ -29,7 +29,6 @@ matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Iterable, Sequence, Union
 
@@ -39,8 +38,49 @@ from .errors import IntervalError, brief
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class GUInterval:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__match_args__``, sets each in its
+    constructor with ``object.__setattr__``, and gets the behaviour of a
+    frozen dataclass: equal to an instance of the same class with equal
+    fields, hashed and shown by its fields, and never assigned again.
+    The package defines no dataclass on the command line's path, because
+    importing ``dataclasses`` loads ``inspect`` and every decorator runs
+    at import.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class GUInterval(_Frozen):
     """An interval-valued measure or payoff aggregate ``[left, right]``.
 
     Instances are immutable and safe to share between threads.  Endpoints
@@ -50,16 +90,17 @@ class GUInterval:
     is actually required.
     """
 
+    __slots__ = __match_args__ = ("left", "right")
+
     left: float
     right: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", float(self.left))
-        object.__setattr__(self, "right", float(self.right))
-        if not (math.isfinite(self.left) and math.isfinite(self.right)):
-            raise IntervalError(
-                f"interval endpoints must be finite, got [{self.left}, {self.right}]"
-            )
+    def __init__(self, left: float, right: float) -> None:
+        left, right = float(left), float(right)
+        if not (math.isfinite(left) and math.isfinite(right)):
+            raise IntervalError(f"interval endpoints must be finite, got [{left}, {right}]")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def is_proper(self) -> bool:

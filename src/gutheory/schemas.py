@@ -13,9 +13,14 @@ schemas use: ``type``, ``enum``, ``minimum``, ``maximum``,
 ``items`` (a schema or ``false``), ``prefixItems``, ``minItems``,
 ``uniqueItems`` and ``if``/``then``, and the types ``object``, ``array``,
 ``string``, ``number`` and ``integer``; ``$schema`` and ``title`` are
-annotations.  Its reasons use jsonschema's wording, with each value or
-key from the document cut to a fixed length, so an error stays one short
-line.
+annotations.  Any other keyword or type raises ``ValueError``.  Its
+reasons use jsonschema's wording, with each value or key from the
+document cut to a fixed length, so an error stays one short line.
+
+Each call compiles the schema into nested closures, one per keyword
+that tests a node, so the keyword dispatch runs once per schema node
+rather than once per document node.  A conforming document builds no
+path string and no reason; both are assembled only for a violation.
 """
 
 from __future__ import annotations
@@ -137,7 +142,14 @@ GENERATE_SCHEMA = {
     },
 }
 
-_TYPES = {"object": dict, "array": list, "string": str}
+#: The classes whose instances have each type.  A value of exactly one of
+#: them passes without a closer look; a bool is not a number, and a float
+#: may still be an integer.
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+          "number": (int, float), "integer": (int,)}
+_ANNOTATIONS = ("$schema", "title")
+#: Keywords that hold member schemas, or that only "if" reads.
+_APPLIED = ("properties", "prefixItems", "then")
 _PLAIN_NAME = re.compile("[a-zA-Z][a-zA-Z0-9_]*")
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
@@ -160,39 +172,124 @@ def _key(value):
     return isinstance(value, bool), value
 
 
-def _reason(keyword: str, rule, value, schema: dict) -> str | None:
-    """What ``value`` breaks of one keyword at its own level, if anything."""
-    if keyword == "type" and not _is_type(value, rule):
-        return f"{brief(repr(value))} is not of type {rule!r}"
-    if keyword == "enum" and _key(value) not in set(map(_key, rule)):
-        return f"{brief(repr(value))} is not one of {rule!r}"
-    if keyword == "minimum" and _is_type(value, "number") and value < rule:
-        return f"{brief(repr(value))} is less than the minimum of {rule!r}"
-    if keyword == "maximum" and _is_type(value, "number") and value > rule:
-        return f"{brief(repr(value))} is greater than the maximum of {rule!r}"
-    if (keyword == "minLength" and isinstance(value, str)
-            or keyword == "minItems" and isinstance(value, list)) and len(value) < rule:
+def _keyword_test(keyword: str, rule, schema: dict):
+    """A function that returns ``[reason]`` when a value breaks ``keyword``
+    at its own level and None otherwise, or None when the keyword tests
+    nothing there."""
+    if keyword == "type":
+        if rule not in _TYPES:
+            raise ValueError(f"the schema checker does not know the type {rule!r}")
+        exact = _TYPES[rule]
+
+        def test(value):
+            if value.__class__ not in exact and not _is_type(value, rule):
+                return [f"{brief(repr(value))} is not of type {rule!r}"]
+    elif keyword == "enum":
+        allowed = set(map(_key, rule))
+
+        def test(value):
+            if _key(value) not in allowed:
+                return [f"{brief(repr(value))} is not one of {rule!r}"]
+    elif keyword in ("minimum", "maximum"):
+        low = keyword == "minimum"
+        side = "less than" if low else "greater than"
+
+        def test(value):
+            if _is_type(value, "number") and (value < rule if low else value > rule):
+                return [f"{brief(repr(value))} is {side} the {keyword} of {rule!r}"]
+    elif keyword in ("minLength", "minItems"):
+        kind = str if keyword == "minLength" else list
         verdict = "should be non-empty" if rule == 1 else "is too short"
-        return f"{brief(repr(value))} {verdict}"
-    if keyword == "uniqueItems" and rule and isinstance(value, list):
-        if len(set(map(_key, value))) < len(value):
-            return f"{brief(repr(value))} has non-unique elements"
-    if keyword == "items" and rule is False and isinstance(value, list):
-        n = len(schema.get("prefixItems", ()))
-        if len(value) > n:
-            rest = value[n] if len(value) == n + 1 else value[n:]
-            return (f"Expected at most {n} item{'s' * (n != 1)} "
-                    f"but found {len(value) - n} extra: {brief(repr(rest))}")
-    if keyword == "required" and isinstance(value, dict):
-        missing = [name for name in rule if name not in value]
-        return f"{missing[0]!r} is a required property" if missing else None
-    if keyword == "additionalProperties" and rule is False and isinstance(value, dict):
-        extras = sorted(k for k in value if k not in schema.get("properties", {}))
-        if extras:
-            listed = brief(", ".join(map(repr, extras)))
-            verb = "was" if len(extras) == 1 else "were"
-            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
-    return None
+
+        def test(value):
+            if isinstance(value, kind) and len(value) < rule:
+                return [f"{brief(repr(value))} {verdict}"]
+    elif keyword == "uniqueItems":
+        if not rule:
+            return None
+
+        def test(value):
+            if isinstance(value, list) and len(set(map(_key, value))) < len(value):
+                return [f"{brief(repr(value))} has non-unique elements"]
+    elif keyword == "required":
+        def test(value):
+            if isinstance(value, dict):
+                for name in rule:
+                    if name not in value:
+                        return [f"{name!r} is a required property"]
+    elif keyword in ("items", "additionalProperties"):
+        if isinstance(rule, dict):
+            return None  # a member schema
+        if rule is not False:
+            raise ValueError(f"the schema checker reads {keyword!r} only as a schema or false")
+        if keyword == "items":
+            n = len(schema.get("prefixItems", ()))
+
+            def test(value):
+                if isinstance(value, list) and len(value) > n:
+                    rest = value[n] if len(value) == n + 1 else value[n:]
+                    return [f"Expected at most {n} item{'s' * (n != 1)} but found "
+                            f"{len(value) - n} extra: {brief(repr(rest))}"]
+        else:
+            named = schema.get("properties", {})
+
+            def test(value):
+                if isinstance(value, dict) and not value.keys() <= named.keys():
+                    extras = sorted(k for k in value if k not in named)
+                    listed = brief(", ".join(map(repr, extras)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    return [f"Additional properties are not allowed ({listed} {verb} unexpected)"]
+    elif keyword == "if":
+        if "then" not in schema:
+            return None
+        condition, then = _compile(rule), _compile(schema["then"])
+
+        def test(value):
+            if condition(value) is None:
+                return then(value)
+    elif keyword in _ANNOTATIONS or keyword in _APPLIED:
+        return None
+    else:
+        raise ValueError(f"the schema checker does not interpret {keyword!r}")
+    return test
+
+
+def _compile(schema: dict):
+    """``schema`` as one function of a value, which returns None when the
+    value conforms.  Otherwise it returns a list: the reason, then the index
+    or key of each member from the failing node out to the value itself."""
+    tests = [test for keyword, rule in schema.items()
+             if (test := _keyword_test(keyword, rule, schema)) is not None]
+    prefix = [_compile(sub) for sub in schema.get("prefixItems", ())]
+    rest = schema.get("items")
+    rest = _compile(rest) if isinstance(rest, dict) else None
+    named = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    other = schema.get("additionalProperties")
+    other = _compile(other) if isinstance(other, dict) else None
+    if len(tests) == 1 and not (prefix or rest or named or other):
+        return tests[0]
+
+    def check(value):
+        for test in tests:
+            if found := test(value):
+                return found
+        if isinstance(value, list):
+            for i, (member, item) in enumerate(zip(prefix, value)):
+                if found := member(item):
+                    found.append(i)
+                    return found
+            if rest is not None:
+                for i in range(len(prefix), len(value)):
+                    if found := rest(value[i]):
+                        found.append(i)
+                        return found
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                member = named.get(key, other)
+                if member is not None and (found := member(item)):
+                    found.append(key)
+                    return found
+    return check
 
 
 def _member_path(path: str, key: str) -> str:
@@ -212,26 +309,13 @@ def first_violation(value, schema: dict, path: str = "$") -> tuple[str, str] | N
 
     The walk is in document order: a node's own keywords, in schema order,
     before its members, and members in the order the document lists them.
+    A keyword outside those listed in the module docstring raises
+    ``ValueError``.
     """
-    for keyword, rule in schema.items():
-        if keyword == "if":
-            if "then" in schema and first_violation(value, rule) is None:
-                if found := first_violation(value, schema["then"], path):
-                    return found
-        elif reason := _reason(keyword, rule, value, schema):
-            return path, reason
-    if isinstance(value, list):
-        prefix, rest = schema.get("prefixItems", ()), schema.get("items")
-        members = ((f"{path}[{i}]", item, prefix[i] if i < len(prefix) else rest)
-                   for i, item in enumerate(value))
-    elif isinstance(value, dict):
-        named, rest = schema.get("properties", {}), schema.get("additionalProperties")
-        members = ((_member_path(path, k), item, named.get(k, rest))
-                   for k, item in value.items())
-    else:
+    found = _compile(schema)(value)
+    if found is None:
         return None
-    for member_path, item, subschema in members:
-        if isinstance(subschema, dict):
-            if found := first_violation(item, subschema, member_path):
-                return found
-    return None
+    reason, *keys = found
+    for key in reversed(keys):
+        path = f"{path}[{key}]" if isinstance(key, int) else _member_path(path, key)
+    return path, reason

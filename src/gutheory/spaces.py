@@ -30,7 +30,6 @@ results do not depend on atom enumeration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -44,6 +43,7 @@ from .intervals import (
     DEFAULT_TOLERANCE,
     GUInterval,
     IntervalLike,
+    _Frozen,
     add,
     as_interval,
     div,
@@ -154,8 +154,7 @@ def axiom_violations(
     return tuple(problems)
 
 
-@dataclass(frozen=True)
-class GUMeasureSpace:
+class GUMeasureSpace(_Frozen):
     """An immutable finite space of interval measures.
 
     Constructing one runs the full axiom check, within
@@ -165,18 +164,25 @@ class GUMeasureSpace:
     intervals.
     """
 
+    __slots__ = __match_args__ = ("atoms", "assignment", "mode")
+
     atoms: tuple[str, ...]
     assignment: Mapping[str, GUInterval]
-    mode: str = "coherent"
+    mode: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        problems = axiom_violations(self.atoms, self.assignment, self.mode)
+    def __init__(
+        self,
+        atoms: Iterable[str],
+        assignment: Mapping[str, IntervalLike],
+        mode: str = "coherent",
+    ) -> None:
+        atoms = tuple(atoms)
+        problems = axiom_violations(atoms, assignment, mode)
         if problems:
             raise ValidationError(problems)
-        object.__setattr__(
-            self, "assignment", {a: as_interval(self.assignment[a]) for a in self.atoms}
-        )
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "assignment", {a: as_interval(assignment[a]) for a in atoms})
+        object.__setattr__(self, "mode", mode)
 
     # -- event plumbing -------------------------------------------------
 

@@ -84,6 +84,26 @@ class TestDecide:
         assert code == 0 and err == ""
         assert "\nx\\ud800 " in out and "selected: y" in out
 
+    def test_table_pads_cells_by_printed_width(self, capsys):
+        problem = {
+            "natures": [{"name": "n", "gum": [1, 1]}],
+            "schemes": [
+                {"name": "x\ud800", "payoffs": [1]},
+                {"name": "甲乙", "payoffs": [2]},
+                {"name": "y", "payoffs": [3]},
+            ],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(problem))
+        assert code == 0 and err == ""
+        # The escape prints 7 columns and each CJK character 2.
+        assert out.split("\n")[:5] == [
+            "/        n      GEU    Comparison",
+            "GUM      [1,1]  /      /",
+            "x\\ud800  1      [1,1]  /",
+            "甲乙     2      [2,2]  GEU2 > GEU1",
+            "y        3      [3,3]  GEU3 > GEU2",
+        ]
+
     def test_json_deterministic(self, capsys):
         argv = ("decide", "--input", json.dumps(PROBLEM), "--format", "json")
         _, first, _ = run(capsys, *argv)
@@ -646,6 +666,8 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 
 def test_runs_without_jsonschema():
+    """In a fresh interpreter, no subcommand loads jsonschema, dataclasses,
+    inspect or the variables module, and only generate loads numpy."""
     runs = [
         ["decide", "--input", json.dumps(PROBLEM)],
         ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
@@ -659,8 +681,10 @@ def test_runs_without_jsonschema():
             assert "numpy" not in sys.modules, argv
             code = main(argv)
             assert code == 0, (argv, code)
-            assert "jsonschema" not in sys.modules, argv
-            assert "gutheory.variables" not in sys.modules, argv
+            for name in ("jsonschema", "dataclasses", "gutheory.variables"):
+                assert name not in sys.modules, (argv, name)
+            # numpy, which only generate loads, imports inspect itself.
+            assert "inspect" not in sys.modules or argv[0] == "generate", argv
         assert "numpy" in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from gutheory import decisions
+from gutheory.algorithms import MAX_K
 from gutheory.cli import main
 
 SEEDS = range(100)
@@ -335,3 +336,156 @@ def test_validate_table_digest(capsys, case):
     argv = ["validate", "--format", "table"]
     digest = grid_digest(capsys, VALIDATE_CASES[case], argv, 0 if case == "valid" else 1, check)
     assert digest == TABLE_DIGESTS[f"validate-{case}"]
+
+
+# ---------------------------------------------------------------------------
+# Schema errors: each digest document broken by one seeded mutation.  The
+# digests hash the exit code and the stderr of every call, recorded before
+# the schema checker was compiled into closures, so each path and reason
+# stays byte-identical.
+
+WRONG_VALUES = ("x", 7, [], {}, None, False)
+ODD_KEYS = ("extra", "x y", "it's", "a\nb", "é")
+
+
+def json_kind(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def members(value):
+    """Every ``(container, key)`` under ``value``, in document order."""
+    if isinstance(value, dict):
+        pairs = list(value.items())
+    elif isinstance(value, list):
+        pairs = list(enumerate(value))
+    else:
+        return
+    for key, item in pairs:
+        yield value, key
+        yield from members(item)
+
+
+def wrong_type(rng, document):
+    container, key = rng.choice(list(members(document)))
+    kind = json_kind(container[key])
+    container[key] = rng.choice([v for v in WRONG_VALUES if json_kind(v) != kind])
+
+
+def objects(document):
+    return [document] + [c[k] for c, k in members(document) if isinstance(c[k], dict)]
+
+
+def missing_key(rng, document):
+    target = rng.choice([d for d in objects(document) if d])
+    del target[rng.choice(list(target))]
+
+
+def extra_key(rng, document):
+    rng.choice(objects(document))[rng.choice(ODD_KEYS)] = 1
+
+
+def true_for_number(rng, document):
+    numbers = [(c, k) for c, k in members(document) if json_kind(c[k]) == "number"]
+    container, key = rng.choice(numbers)
+    container[key] = True
+
+
+def emptied(rng, document):
+    sized = [(c, k) for c, k in members(document) if isinstance(c[k], (str, list, dict))]
+    container, key = rng.choice(sized)
+    container[key] = type(container[key])()
+
+
+def appended(rng, document):
+    lists = [c[k] for c, k in members(document) if isinstance(c[k], list)]
+    rng.choice(lists).append(rng.choice([0.5, "x"]))
+
+
+def k_out_of_range(rng, document):
+    document["k"] = rng.choice([0, -3, 2.5, MAX_K + 1, 10**7])
+
+
+def duplicate_atom(rng, document):
+    atoms = document["atoms"]
+    atoms.insert(rng.randrange(len(atoms) + 1), rng.choice(atoms))
+
+
+def unknown_family(rng, document):
+    rng.choice(document["distributions"])["family"] = rng.choice(["gamma", "Normal", "", "normal "])
+
+
+def generate_document(rng: random.Random) -> dict:
+    case = GENERATE_CASES[rng.choice(sorted(GENERATE_CASES))]
+    return {"k": K, "seed": rng.randrange(100), "distributions": json.loads(json.dumps(case))}
+
+
+SCHEMA_ERROR_DOCUMENTS = {
+    "decide": narrow_problem,
+    "cluster": cluster_document,
+    "validate": coherent_space,
+    "generate": generate_document,
+}
+COMMON_MUTATIONS = {
+    "wrong-type": wrong_type,
+    "missing-key": missing_key,
+    "extra-key": extra_key,
+    "true-for-number": true_for_number,
+    "emptied": emptied,
+    "appended": appended,
+}
+SCHEMA_ERROR_CASES = {
+    **{(command, name): mutate
+       for command in SCHEMA_ERROR_DOCUMENTS for name, mutate in COMMON_MUTATIONS.items()},
+    ("generate", "k-out-of-range"): k_out_of_range,
+    ("generate", "unknown-family"): unknown_family,
+    ("validate", "duplicate-atom"): duplicate_atom,
+}
+
+SCHEMA_ERROR_DIGESTS = {
+    "cluster-appended": "08bb825e94c1975fed1e666e10d6d49e8ef0f7727fa97bd2da48068cdc18c96e",
+    "cluster-emptied": "ca27a6aabc39674a0522f800a211d25f8db2f2437582c81539373158412cde33",
+    "cluster-extra-key": "a8d718f4f40410f7fe6f84fa44cbd8a92d8c5449588ed0c8ac9005797ed2c62d",
+    "cluster-missing-key": "38c12c5dbb86e57f6e58a872e10c77520e5497477bd3b95841ceaab556395547",
+    "cluster-true-for-number": "43f4a40fd04934b0994b32ac94a2fc7fc27ad89e5a79f528cc431910e9383290",
+    "cluster-wrong-type": "5e9139e4ab363a70b755f12bb189b280a3c43c041b070e0db8b5b7998919b025",
+    "decide-appended": "dc6bc249fd2ef88b043fb98b2a5433f43fae8a947eef3d3c35e096603c1da947",
+    "decide-emptied": "9f7dcbc743584814ba192ce75a26e28b92690a9a7e341a25426b1212046cca89",
+    "decide-extra-key": "6792a3d657136d97e1417e6d8b75b4b1866c826388b46a61b552ac969059aef1",
+    "decide-missing-key": "428b02b6bb75c82a0ea4137d23cb78f4fba1ae7cdb59f5e2b64698694ac3735c",
+    "decide-true-for-number": "5ee9bb7a9cfd635f2c79bb89d6cc8a6496d8512d3e36fadbde11f557747f0482",
+    "decide-wrong-type": "9356f2243312d216543ffdbbbba01fd29c3da9f6df2906cc445e27977f44086f",
+    "generate-appended": "c921ee924243c44e0a9f2999d3751085417944c0f1700d27bc86cc7a5ce526ce",
+    "generate-emptied": "b2a9279ba1905581cfbd1a6c965bb00ee217c6dd6bb9259c1728ac6f4cc76cd2",
+    "generate-extra-key": "e5825ab8daa84ad3562cee65e711c273f4078efc99e1943287b037de6cffaa29",
+    "generate-k-out-of-range": "94d843e7126860d8f0c03ec55253220ed4f32b519271ff88a807e32a453ece26",
+    "generate-missing-key": "cfbdef9e845e71ac2fba2272951e548d4418bae12a14c7a54171a10e1666f4bc",
+    "generate-true-for-number": "cb27caa605821731060c042f59ec2c487f78b2e7baef4eff2e43b490c21883d3",
+    "generate-unknown-family": "8f59562a5937784ecb7f0315908df18a8b07486c9b94820b227af825035cd581",
+    "generate-wrong-type": "483e438604087236f1fbe240bc2966228703c581508d784e18eb0b094f32678d",
+    "validate-appended": "50f3f881e414cf623b15c2e31a3ef805989e57d37ca4e3b2c0aa7a8ca8edbcd2",
+    "validate-duplicate-atom": "ae862b631147f2a229358d6de88a8f19ea716c48ffe3ae0a53b6cc0917ebb4da",
+    "validate-emptied": "2bc8e4453a7165d648031342d8a16f7e4d566b59f6397bd90eeb14fe332f9dc1",
+    "validate-extra-key": "b1d85d63673d7999f99c9acdcb242344e52dfeb867d0f586866fe44584dba65a",
+    "validate-missing-key": "027844d5c55844e192ada1d662eefe690c9183b1901f0d7f8098173b3a01a21d",
+    "validate-true-for-number": "5903ed601c7881d8b8cadf0690f0d516a81d2d54e4d652214732197fa554fde3",
+    "validate-wrong-type": "1a9cddc7ffdab3d9d58c455457777c895caecebd308d57f83252385a185203c2",
+}
+
+
+@pytest.mark.parametrize("command, mutation", sorted(SCHEMA_ERROR_CASES))
+def test_schema_error_digest(capsys, command, mutation):
+    digest = hashlib.sha256()
+    usage_errors = 0
+    for seed in DOC_SEEDS:
+        rng = random.Random(seed)
+        document = SCHEMA_ERROR_DOCUMENTS[command](rng)
+        SCHEMA_ERROR_CASES[command, mutation](rng, document)
+        code = main([command, "--input", json.dumps(document)])
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0)
+        usage_errors += code == 2
+        digest.update(f"{code}\n{err}".encode())
+    assert usage_errors >= len(DOC_SEEDS) // 2
+    assert digest.hexdigest() == SCHEMA_ERROR_DIGESTS[f"{command}-{mutation}"]

@@ -12,6 +12,7 @@ Regenerate the four input files with::
 """
 
 import json
+import re
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -22,7 +23,13 @@ import pytest
 from gutheory.algorithms import MAX_K
 from gutheory.decisions import ATTITUDES, SelectionRationale
 from gutheory.intervals import Relation
-from gutheory.schemas import CLUSTER_SCHEMA, DECISION_SCHEMA, GENERATE_SCHEMA, SPACE_SCHEMA
+from gutheory.schemas import (
+    CLUSTER_SCHEMA,
+    DECISION_SCHEMA,
+    GENERATE_SCHEMA,
+    SPACE_SCHEMA,
+    first_violation,
+)
 from gutheory.spaces import MODES
 
 INPUTS = {
@@ -56,6 +63,10 @@ CHECKED = {
 }
 ANNOTATIONS = {"$schema", "title"}
 TYPES = {"object", "array", "string", "number", "integer"}
+# Every other Draft 2020-12 keyword, and some annotations.
+UNCHECKED = (
+    set(jsonschema.Draft202012Validator.VALIDATORS) | {"else", "description", "default"}
+) - CHECKED
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -104,3 +115,11 @@ def test_input_schemas_use_only_checked_keywords(name):
     for sub in _subschemas(INPUTS[name]):
         assert set(sub) <= CHECKED | ANNOTATIONS, sub
         assert sub.get("type", "object") in TYPES, sub
+        first_violation(None, sub)
+        # The checker is compiled from every keyword it meets, and it
+        # raises on one it does not interpret rather than skip it.
+        for keyword in sorted(UNCHECKED):
+            with pytest.raises(ValueError, match=re.escape(f"not interpret {keyword!r}")):
+                first_violation(None, {**sub, keyword: 1})
+        with pytest.raises(ValueError, match="does not know the type 'null'"):
+            first_violation(None, {**sub, "type": "null"})
