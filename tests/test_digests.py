@@ -6,7 +6,8 @@ sampler was vectorised, the ``decide``, ``cluster`` and ``validate`` ones
 before the JSON writer replaced ``json.dumps`` (the stage-2 ``weak`` ones
 before ``decide`` stopped building the relation matrix), and the table-format ones
 of ``cluster``, ``generate`` and ``validate`` before stdout was written as
-UTF-8 whatever the locale; a change to the draw order, the arithmetic, the
+UTF-8 whatever the locale, and the long mixed-family ``generate`` ones
+before mixed candidates were replayed from a block of PCG64 words; a change to the draw order, the arithmetic, the
 render or the write shows here as a digest mismatch.
 """
 
@@ -61,10 +62,10 @@ GENERATE_CASES = {
 }
 
 
-def generate_digest(capsys, distributions, fmt="json") -> str:
+def generate_digest(capsys, distributions, fmt="json", k=K, seeds=SEEDS) -> str:
     digest = hashlib.sha256()
-    text = json.dumps({"k": K, "distributions": distributions})
-    for seed in SEEDS:
+    text = json.dumps({"k": k, "distributions": distributions})
+    for seed in seeds:
         code = main(["generate", "--input", text, "--seed", str(seed), "--format", fmt])
         captured = capsys.readouterr()
         assert code == 0 and captured.err == ""
@@ -81,6 +82,37 @@ def test_generate_stdout_digest(capsys, case):
 def test_generate_table_digest(capsys, case):
     digest = generate_digest(capsys, GENERATE_CASES[case], "table")
     assert digest == TABLE_DIGESTS[f"generate-{case}"]
+
+
+# Mixed families over sequences long enough that every slow draw of numpy's
+# normal and exponential ziggurats occurs: a draw that takes a second word,
+# a tail draw, a rejected draw that starts again.
+LONG_MIXED_K = 5000
+LONG_MIXED_SEEDS = range(10)
+LONG_MIXED_CASES = {
+    "exponential-normal": [EXPONENTIALS[0], NORMALS[1]],
+    "uniform-exponential-normal-exponential": [
+        UNIFORMS[0], EXPONENTIALS[1], NORMALS[0], EXPONENTIALS[2],
+    ],
+    "normal-normal-uniform": [NORMALS[1], NORMALS[2], UNIFORMS[1]],
+}
+LONG_MIXED_DIGESTS = {
+    "json-exponential-normal": "c5076a50900ae2b1ffa7a3df152c4e26caf3896a347cb34ac38eeffa09ce7552",
+    "json-normal-normal-uniform": "b16ddbd1e0b019ac39c4af8394655b041ed2bee4c020eb656e0c81590386b4f8",
+    "json-uniform-exponential-normal-exponential": "1fc8d1ae6f59242c52c4df79dccf8e9995d0fff14575e7676a51c0bb52683ce4",
+    "table-exponential-normal": "6946be93fd89a73135de17b154e9afd7ee7e3f25f778ed19b2a3d1a82a0e23bd",
+    "table-normal-normal-uniform": "2f0a8de28092f5b5ceb0200153d2811dc32a65ebd8c3fe91174f876253a14571",
+    "table-uniform-exponential-normal-exponential": "2c9894d4e1f6c363a7db56d8bc382e08fa1f8e15317a9d54cb4cc8982178183c",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("case", sorted(LONG_MIXED_CASES))
+def test_generate_long_mixed_digest(capsys, case, fmt):
+    digest = generate_digest(
+        capsys, LONG_MIXED_CASES[case], fmt, k=LONG_MIXED_K, seeds=LONG_MIXED_SEEDS
+    )
+    assert digest == LONG_MIXED_DIGESTS[f"{fmt}-{case}"]
 
 
 # ---------------------------------------------------------------------------
