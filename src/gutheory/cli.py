@@ -237,10 +237,10 @@ def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str
     if math.isinf(delta):
         # JSON has no infinity to echo in the report.
         raise IntervalError(f"delta must be finite, got {delta}")
-    classes = classify(document["items"], delta)
+    items = [as_interval(item) for item in document["items"]]
+    classes = classify(items, delta)
     if args.format == "json":
         return _json_pieces({"delta": delta, "classes": classes}), None
-    items = [as_interval(item) for item in document["items"]]
     lines = [f"delta: {delta:g}\nclasses: {len(classes)}"]
     for k, members in enumerate(classes):
         listed = ", ".join(f"{i} {items[i]}" for i in members)

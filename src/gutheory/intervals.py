@@ -136,10 +136,13 @@ def as_interval(value: IntervalLike) -> GUInterval:
     if isinstance(value, GUInterval):
         return value
     try:
-        left, right = map(float, value)
+        left, right = value
+        # The constructor converts each endpoint with float() once.
+        return GUInterval(left, right)
+    except IntervalError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise IntervalError(f"cannot read {brief(repr(value))} as an interval") from exc
-    return GUInterval(left, right)
 
 
 def add(i1: GUInterval, i2: GUInterval) -> GUInterval:

@@ -1,6 +1,7 @@
 """Distribution specs, sequence generation and neighbourhood classing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gutheory import (
     classify,
     generate_sequence,
 )
+from gutheory import algorithms
+from gutheory._ziggurat import KE, KI, WE, WI
 from gutheory.algorithms import FAMILIES, MAX_DRAWS, MAX_K
 
 
@@ -35,6 +38,13 @@ def replay(specs, k, seed):
     picks = rng.integers(0, len(specs), size=k)
     return tuple(rows[j][picks[j]] for j in range(k))
 
+
+#: One spec of each family, for mixtures drawn by family name.
+MIXED = {
+    "normal": DistributionSpec("normal", 0.3, 2.0),
+    "uniform": DistributionSpec("uniform", -1.0, 0.5),
+    "exponential": DistributionSpec("exponential", 2.5),
+}
 
 ONE_FAMILY = {
     "normal": (
@@ -194,6 +204,38 @@ class TestGenerateSequence:
                 specs.append(DistributionSpec(family, mu, sigma2))
         assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        families=st.lists(st.sampled_from(FAMILIES), min_size=2, max_size=5).filter(
+            lambda families: len(set(families)) > 1
+        ),
+        k=st.integers(1000, 3000),
+        seed=st.integers(0, 2**32),
+    )
+    def test_long_mixed_sequence_equals_numpy_replay(self, families, k, seed):
+        # long enough for rows whose normal or exponential draw takes more
+        # than one word, which the mixed path draws again
+        specs = [MIXED[family] for family in families]
+        assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
+
+    def test_mixed_path_draws_more_words_when_the_spares_run_out(self, monkeypatch):
+        # With no spare words, the first slow row pushes the last row past
+        # the block; small chunks put chunk edges inside the rows too.
+        monkeypatch.setattr(algorithms, "_SPARE", 0.0)
+        monkeypatch.setattr(algorithms, "_CHUNK", 97)
+        concatenate = np.concatenate
+        joins = []
+
+        def counted(*args, **kwargs):
+            joins.append(1)
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        specs = [MIXED["exponential"], MIXED["uniform"], MIXED["normal"]]
+        for seed in range(5):
+            assert generate_sequence(specs, 2000, seed=seed).elements == replay(specs, 2000, seed)
+        assert len(joins) > 5
+
     def test_mixture_membership(self):
         # far-apart uniforms: every element must land in one support
         specs = (
@@ -230,10 +272,63 @@ class TestGenerateSequence:
         with pytest.raises(ConfigurationError, match="float range"):
             generate_sequence([DistributionSpec("exponential", 1e308)], 20, seed=0)
 
+    def test_mixed_non_finite_element_is_configuration_error(self):
+        # the scaling overflows to inf without a RuntimeWarning
+        specs = [DistributionSpec("exponential", 1e308), MIXED["uniform"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="float range"):
+                generate_sequence(specs, 20, seed=0)
+
     def test_sequence_indexing(self):
         seq = GUSequence((1.0, 2.0, 3.0))
         assert seq[1] == 2.0
         assert list(seq) == [1.0, 2.0, 3.0]
+
+
+class TestZigguratTables:
+    """``gutheory._ziggurat`` holds the installed numpy's ziggurat tables.
+
+    Each draw starts from a PCG64 state set so that its next word is a
+    crafted one: PCG64 steps its state and then outputs it, and a state
+    below 2**64 outputs itself.
+    """
+
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+
+    def draw(self, method, word):
+        """The draw whose first word is ``word``, and whether it took that
+        word alone."""
+        self.bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": word, "inc": self.bitgen.state["state"]["inc"]},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.bitgen.advance(-1)
+        value = getattr(self.rng, method)()
+        return value, self.bitgen.state["state"]["state"] == word
+
+    @pytest.mark.parametrize(
+        "method, ks, ws, bits, word",
+        [
+            # layer in bits 0-7, sign in bit 8, mantissa in bits 9-60
+            ("standard_normal", KI, WI, 52, lambda layer, m: (m << 9) | layer),
+            # layer in bits 3-10, mantissa in bits 11-63
+            ("standard_exponential", KE, WE, 53, lambda layer, m: (m << 11) | (layer << 3)),
+        ],
+    )
+    def test_every_entry_matches_numpy(self, method, ks, ws, bits, word):
+        assert len(ks) == len(ws) == 256
+        # Layer 1 never takes one word.
+        assert ks[1] == 0
+        for layer in range(256):
+            assert self.draw(method, word(layer, 1))[0] == ws[layer]
+            if ks[layer]:
+                assert self.draw(method, word(layer, ks[layer] - 1))[1]
+            assert ks[layer] < 2**bits
+            assert not self.draw(method, word(layer, ks[layer]))[1]
 
 
 class TestClassify:

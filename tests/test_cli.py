@@ -667,25 +667,29 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
 
 def test_runs_without_jsonschema():
     """In a fresh interpreter, no subcommand loads jsonschema, dataclasses,
-    inspect or the variables module, and only generate loads numpy."""
+    inspect or the variables module, only generate loads numpy, and only
+    generate with mixed families loads the ziggurat tables."""
+    one_family = {"k": 8, "distributions": [{"family": "uniform", "mu": 0, "sigma2": 1}] * 2}
     runs = [
         ["decide", "--input", json.dumps(PROBLEM)],
         ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
         ["validate", "--input", json.dumps(SPACE)],
+        ["generate", "--input", json.dumps(one_family)],
         ["generate", "--input", json.dumps(TestGenerate.DOCUMENT)],
     ]
     proc = _run_script(f"""
         import sys
         from gutheory.cli import main
         for argv in {runs!r}:
-            assert "numpy" not in sys.modules, argv
+            assert "numpy" not in sys.modules or argv[0] == "generate", argv
+            assert "gutheory._ziggurat" not in sys.modules, argv
             code = main(argv)
             assert code == 0, (argv, code)
             for name in ("jsonschema", "dataclasses", "gutheory.variables"):
                 assert name not in sys.modules, (argv, name)
             # numpy, which only generate loads, imports inspect itself.
             assert "inspect" not in sys.modules or argv[0] == "generate", argv
-        assert "numpy" in sys.modules
+        assert "numpy" in sys.modules and "gutheory._ziggurat" in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
 
