@@ -1,0 +1,122 @@
+"""The mixed-family path of :func:`gutheory.algorithms.generate_sequence`:
+numpy's scalar draws, replayed from a block of PCG64's raw 64-bit words.
+
+A uniform draw takes one word; numpy's normal and exponential samplers,
+Marsaglia and Tsang's ziggurats, take one word for about 99% of draws and
+compute the draw from it with the tables in ``_ziggurat.py``.  Rows of
+candidates whose draws all take one word are computed from their words in
+bulk; a row with a slower draw is drawn again with the scalar calls, and
+the words it took are read off the generator's state.  Only this path
+imports this module and the tables.
+"""
+
+import math
+from bisect import bisect_left
+
+import numpy as np
+
+from ._ziggurat import KE, KI, WE, WI
+from .algorithms import STANDARD
+
+#: Spare words drawn per candidate for the extra words of slow draws.
+_SPARE = 1 / 16
+
+#: Words tested for the one-word path at a time, which bounds the memory used.
+_CHUNK = 1 << 16
+
+#: PCG64 steps its 128-bit state to ``state * _PCG64_MULTIPLIER + inc``.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _ziggurat(family: str, words):
+    """``(mantissa, layer)`` that numpy's normal or exponential ziggurat
+    reads from a draw's first word.  The draw takes that word alone exactly
+    when ``mantissa < k[layer]``, and is then ``mantissa * w[layer]``,
+    negated for a normal whose bit 8 is set."""
+    if family == "normal":
+        mantissa = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+        return mantissa, (words & np.uint64(0xFF)).astype(np.intp)
+    return words >> np.uint64(11), ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.intp)
+
+
+def replay_mixed(rng, families: list[str], k: int):
+    """``(picks, draws)``: the picks and the standard draws of the picked
+    candidates that scalar draws row by row, then ``rng.integers(0, n,
+    size=k)``, give, with ``rng`` left where they leave it."""
+    tables = {
+        "normal": (np.array(KI, np.uint64), np.array(WI)),
+        "exponential": (np.array(KE, np.uint64), np.array(WE)),
+    }
+    # Bit 1 of a word's code marks a slow normal draw, bit 2 an exponential.
+    bits = {"normal": 1, "uniform": 0, "exponential": 2}
+    slot_bits = [bits[family] for family in families]
+    draw = {family: getattr(rng, STANDARD[family]) for family in families}
+    n = len(families)
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    inc = start["state"]["inc"]
+    # n steps, the fewest a row takes, map a state s to row_a * s + row_c.
+    row_a, row_c, m, d, count = 1, 0, _PCG64_MULTIPLIER, inc, n
+    while count:
+        if count & 1:
+            row_a, row_c = row_a * m % 2**128, (row_c * m + d) % 2**128
+        m, d, count = m * m % 2**128, (m * d + d) % 2**128, count >> 1
+    # The block of words comes from a copy, so that bitgen only moves on.
+    source = np.random.PCG64()
+    source.state = start
+    words = np.empty(0, np.uint64)
+    slow_at, slow_codes = [], []  # the slow words' positions and codes
+    slow = {}  # row -> the standard draws of its candidates
+    extra = np.zeros(k + 1, np.int64)  # extra[j]: words row j - 1 took beyond n
+    at = shift = i = j = 0  # bitgen's words, and the rows' beyond n each
+    while True:
+        # Row j starts at word n * j + shift; find the first slow word from
+        # there that is read by a draw of the family it slows.
+        i = bisect_left(slow_at, n * j + shift, i)
+        while i < len(slow_at) and not slow_codes[i] & slot_bits[(slow_at[i] - shift) % n]:
+            i += 1
+        if i < len(slow_at) and (slow_at[i] - shift) // n < k:
+            # The rows from j up to this one are fast: draw this one again.
+            j = (slow_at[i] - shift) // n
+            bitgen.advance(n * j + shift - at)
+            state = bitgen.state["state"]["state"]
+            slow[j] = np.array([draw[family]() for family in families])
+            after = bitgen.state["state"]["state"]
+            state, at = (state * row_a + row_c) % 2**128, n * (j + 1) + shift
+            while state != after:
+                state, at = (state * _PCG64_MULTIPLIER + inc) % 2**128, at + 1
+            j += 1
+            extra[j] = at - n * j - shift
+            shift = at - n * j
+        elif n * k + shift <= len(words):
+            break
+        else:
+            # Draw the words of the rows left, and spares.
+            more = source.random_raw(n * k + shift - len(words) + math.ceil(n * (k - j) * _SPARE))
+            codes = np.zeros(len(more), np.uint8)
+            for low in range(0, len(more), _CHUNK):
+                for family in tables.keys() & set(families):
+                    mantissa, layer = _ziggurat(family, more[low:low + _CHUNK])
+                    codes[low:low + _CHUNK][mantissa >= tables[family][0][layer]] |= bits[family]
+            found = np.flatnonzero(codes)
+            slow_at += (found + len(words)).tolist()
+            slow_codes += codes[found].tolist()
+            words = np.concatenate([words, more]) if len(words) else more
+            del more, codes  # so that the block is let go below
+    bitgen.advance(n * k + shift - at)
+    picks = rng.integers(0, n, size=k)
+    # Each row's picked word; the block is let go.
+    words = words[np.arange(0, n * k, n) + np.cumsum(extra[:k]) + picks]
+    kind = np.array(slot_bits, np.int8)[picks]
+    kept = (words >> np.uint64(11)) * 2.0**-53  # uniform draws
+    for family, (_, w) in tables.items():
+        chosen = kind == bits[family]
+        word = words[chosen]
+        mantissa, layer = _ziggurat(family, word)
+        draws = mantissa * w[layer]
+        if family == "normal":
+            np.negative(draws, out=draws, where=(word >> np.uint64(8)) & np.uint64(1) == 1)
+        kept[chosen] = draws
+    for j, candidates in slow.items():
+        kept[j] = candidates[picks[j]]
+    return picks, kept

@@ -237,10 +237,12 @@ def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str
     if math.isinf(delta):
         # JSON has no infinity to echo in the report.
         raise IntervalError(f"delta must be finite, got {delta}")
-    items = [as_interval(item) for item in document["items"]]
-    classes = classify(items, delta)
+    items = document["items"]
     if args.format == "json":
-        return _json_pieces({"delta": delta, "classes": classes}), None
+        return _json_pieces({"delta": delta, "classes": classify(items, delta)}), None
+    # The table prints the intervals that classify checks: convert them once.
+    items = [as_interval(item) for item in items]
+    classes = classify(items, delta)
     lines = [f"delta: {delta:g}\nclasses: {len(classes)}"]
     for k, members in enumerate(classes):
         listed = ", ".join(f"{i} {items[i]}" for i in members)

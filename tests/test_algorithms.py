@@ -16,7 +16,7 @@ from gutheory import (
     classify,
     generate_sequence,
 )
-from gutheory import algorithms
+from gutheory import _replay
 from gutheory._ziggurat import KE, KI, WE, WI
 from gutheory.algorithms import FAMILIES, MAX_DRAWS, MAX_K
 
@@ -194,7 +194,7 @@ class TestGenerateSequence:
         seed=st.integers(0, 2**32),
     )
     def test_sequence_equals_numpy_replay(self, one_family, drawn, k, seed):
-        # one family takes the block path, mixed families the scalar loop
+        # one family takes the block path, mixed families the word replay
         specs = []
         for family, mu, sigma2 in drawn:
             family = drawn[0][0] if one_family else family
@@ -221,8 +221,8 @@ class TestGenerateSequence:
     def test_mixed_path_draws_more_words_when_the_spares_run_out(self, monkeypatch):
         # With no spare words, the first slow row pushes the last row past
         # the block; small chunks put chunk edges inside the rows too.
-        monkeypatch.setattr(algorithms, "_SPARE", 0.0)
-        monkeypatch.setattr(algorithms, "_CHUNK", 97)
+        monkeypatch.setattr(_replay, "_SPARE", 0.0)
+        monkeypatch.setattr(_replay, "_CHUNK", 97)
         concatenate = np.concatenate
         joins = []
 
