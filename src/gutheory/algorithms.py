@@ -34,7 +34,7 @@ STANDARD = {
 
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three distributions, ``gut generate --format json`` peaks at about
-#: 119 MB of resident memory for one family and 111 MB for mixed families.
+#: 119 MB of resident memory for one family and 116 MB for mixed families.
 MAX_K = 1_000_000
 
 #: The most candidate draws (``k`` times the number of distributions) that
