@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, IntervalError, brief
 # ``classify`` inlines ``delta_neighbour``'s test; the name stays bound here

@@ -32,9 +32,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import chain
-from pathlib import Path
-from typing import Iterable, Sequence
 
 from .algorithms import DistributionSpec, classify, generate_sequence
 from .decisions import (
@@ -93,7 +92,8 @@ def _load_document(source: str) -> dict:
         elif source.lstrip().startswith("{"):
             text = source
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            with open(source, encoding="utf-8") as file:
+                text = file.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {brief(repr(source))}: {exc.strerror}") from None
     except UnicodeDecodeError:

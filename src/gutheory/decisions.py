@@ -13,15 +13,21 @@ three stages:
    maker takes the smallest uncertainty degree, a seeking one the
    largest.  Ties go to the earliest scheme in input order.
 
-Only the last best scheme of the comparison column can win stage 1 or 2:
-a scheme dominating every rival displaces the best before it on its turn
-and keeps the place, since every later scheme is smaller than it.
-
-``decide`` compares only the pairs the selection reads: the column, the
-last best against the schemes before it (the column already holds its
-relation to every later one), and at stage 3 each scheme against its
-rivals up to the first that dominates it, each unordered pair at most
-once.  The full relation matrix is built only when
+Every stage reads one endpoint law.  For proper GEUs ``i = [a_i, b_i]``,
+``j = [a_j, b_j]`` and ``tol >= 0``, ``compare(j, i)`` is
+``StronglyGreater`` exactly when ``fl(a_j - b_i) > tol``, and
+``StronglyGreater`` or ``WeaklyGreater`` exactly when ``fl(b_j - b_i) >
+tol`` and ``fl(a_i - a_j) <= tol``.  Rounded subtraction is monotone in
+each argument, so a test holds against every rival exactly when it holds
+against the rival with the extreme endpoint.  Only the comparison
+column's last best can win stage 1 or 2 (a scheme dominating every rival
+displaces the best before it on its turn and keeps the place), so those
+stages test it against the largest left and right endpoints of the
+others.  At stage 3 the j with ``fl(a_i - a_j) <= tol`` form a suffix of
+the schemes sorted by left endpoint, and i survives unless that suffix's
+largest right endpoint ``r`` gives ``fl(r - b_i) > tol``.  So the column's
+m - 1 calls are all the ``compare`` calls ``decide`` makes, and stage 3
+takes O(m log m).  The full relation matrix is built only when
 ``DecisionReport.relations`` is read, as the JSON report does; the table
 never reads it.
 
@@ -33,8 +39,10 @@ the attitude stage exists for.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from enum import Enum, unique
-from typing import Mapping, Sequence
+from itertools import accumulate
 
 from .errors import AttitudeRequiredError, ValidationError, brief
 from .intervals import (
@@ -303,38 +311,26 @@ def decide(problem: DecisionProblem) -> DecisionReport:
         column.append(ComparisonEntry(names[i], names[best], rel))
         if rel in _DOMINANT:
             best = i
-    # Each scheme after the last best met it in the column.
-    rivals = [compare(geus[best], geus[j], tol) for j in range(best)]
-    rivals += [entry.relation.mirrored for entry in column[best + 1:]]
+    a, b = geus[best].left, geus[best].right
+    others = geus[:best] + geus[best + 1:]
+    top_left = max((g.left for g in others), default=-math.inf)
+    top_right = max((g.right for g in others), default=-math.inf)
     selected = best
-    if all(rel is Relation.STRONGLY_GREATER for rel in rivals):
+    if a - top_right > tol:
         rationale = SelectionRationale.STRONGLY_ADVANTAGE
-    elif all(rel in _DOMINANT for rel in rivals):
+    elif b - top_right > tol and top_left - a <= tol:
         rationale = SelectionRationale.WEAKLY_ADVANTAGE
     else:
-        # Each scan stops at the first dominator and records in reach[i]
-        # the rivals it covered; it marks each later rival it dominates, so
-        # a later scan skips a dominated scheme and any rival whose scan
-        # covered the pair.  Each unordered pair is compared at most once.
-        # Domination strictly raises the right endpoint, so the scheme with
-        # the largest one is never dominated and survivors is never empty.
-        dominated = [False] * m
-        reach = [0] * m
-        for i in range(m):
-            if dominated[i]:
-                continue
-            reach[i] = m
-            for j in range(m):
-                if j == i or j < i and reach[j] > i:
-                    continue
-                rel = compare(geus[j], geus[i], tol)
-                if rel in _DOMINANT:
-                    dominated[i] = True
-                    reach[i] = j + 1
-                    break
-                if j > i and rel.mirrored in _DOMINANT:
-                    dominated[j] = True
-        survivors = [i for i in range(m) if not dominated[i]]
+        # tops[k] is the largest right endpoint of pairs[k:].  Each suffix
+        # holds i itself, so the scheme with the largest right endpoint
+        # survives and survivors is never empty.
+        pairs = sorted((g.left, g.right) for g in geus)
+        lefts = [p[0] for p in pairs]
+        tops = [*accumulate((p[1] for p in reversed(pairs)), max)][::-1]
+        survivors = [
+            i for i, g in enumerate(geus)
+            if tops[bisect_left(lefts, True, key=lambda x: g.left - x <= tol)] - g.right <= tol
+        ]
         if problem.attitude is None:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "

@@ -7,7 +7,7 @@ distinctions can catch one thing.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 #: How many characters of an input value or name an error message shows.
 SHOWN = 80
@@ -31,13 +31,16 @@ class ValidationError(GutError):
     """A structured value (space, variable, envelope, decision problem)
     violates its construction rules.
 
-    ``violations`` carries one message per broken rule; the exception text
-    joins them so nothing is hidden from a plain ``str()``.
+    ``violations`` carries one message per broken rule.  The exception text
+    joins the first three and counts the rest, so an error line stays short
+    however many rules a large input breaks.
     """
 
     def __init__(self, violations: Iterable[str]):
         self.violations: tuple[str, ...] = tuple(violations)
-        super().__init__("; ".join(self.violations) or "invalid value")
+        rest = len(self.violations) - 3
+        text = "; ".join(self.violations[:3]) or "invalid value"
+        super().__init__(f"{text}; and {rest} more" if rest > 0 else text)
 
 
 class EventError(GutError):

@@ -29,8 +29,8 @@ matters.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from enum import Enum, unique
-from typing import Iterable, Sequence, Union
 
 from .errors import IntervalError, brief
 
@@ -124,7 +124,7 @@ class GUInterval(_Frozen):
 
 
 #: Anything :func:`as_interval` accepts: an interval or a two-item sequence.
-IntervalLike = Union[GUInterval, Sequence[float]]
+IntervalLike = GUInterval | Sequence[float]
 
 
 def as_interval(value: IntervalLike) -> GUInterval:

@@ -30,7 +30,7 @@ results do not depend on atom enumeration order.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import (
     ConditioningError,

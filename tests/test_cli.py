@@ -15,6 +15,7 @@ import pytest
 from gutheory import (
     DecisionProblem,
     DistributionSpec,
+    ValidationError,
     cli,
     decide,
     generate_sequence,
@@ -226,8 +227,23 @@ class TestDecide:
         assert code == 2 and "non-finite" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "decide", "--input", str(tmp_path / "absent.json"))
-        assert code == 2 and "cannot read" in err
+        path = str(tmp_path / "absent.json")
+        code, _, err = run(capsys, "decide", "--input", path)
+        assert code == 2
+        assert err == f"error: cannot read {path!r}: No such file or directory\n"
+
+    def test_many_violations_stay_short(self, capsys):
+        document = {
+            "natures": [{"name": "a", "gum": [0.5, 0.5]}],
+            "schemes": [{"name": f"S{i}", "payoffs": [-1]} for i in range(20_000)],
+        }
+        code, out, err = run(capsys, "decide", "--input", json.dumps(document))
+        assert code == 1 and out == ""
+        assert err.endswith("; and 19997 more\n")
+        assert err.count("\n") == 1 and len(err.encode()) <= 1024
+        with pytest.raises(ValidationError) as caught:
+            DecisionProblem.from_dict(document)
+        assert len(caught.value.violations) == 20_000
 
     def test_long_missing_path_stays_short(self, capsys, tmp_path):
         code, _, err = run(capsys, "decide", "--input", str(tmp_path / ("p" * 100_000)))
@@ -655,10 +671,10 @@ def test_schema_error_echo_is_bounded(capsys, document, where):
     assert err.count("\n") == 1 and len(err.encode()) <= 300
 
 
-def _run_script(script: str) -> subprocess.CompletedProcess:
+def _run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
+        [sys.executable, *flags, "-c", textwrap.dedent(script)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -691,6 +707,26 @@ def test_runs_without_jsonschema():
             assert "inspect" not in sys.modules or argv[0] == "generate", argv
         assert "numpy" in sys.modules and "gutheory._ziggurat" in sys.modules
     """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_clean_interpreter_loads_neither_pathlib_nor_typing():
+    """Without ``site``, whose hooks may import both first, decide, cluster
+    and validate load neither module."""
+    runs = [
+        ["decide", "--input", json.dumps(PROBLEM)],
+        ["cluster", "--input", json.dumps(TestCluster.DOCUMENT)],
+        ["validate", "--input", json.dumps(SPACE)],
+    ]
+    proc = _run_script(f"""
+        import sys
+        assert "pathlib" not in sys.modules and "typing" not in sys.modules
+        from gutheory.cli import main
+        for argv in {runs!r}:
+            assert main(argv) == 0, argv
+            for name in ("pathlib", "typing"):
+                assert name not in sys.modules, (argv, name)
+    """, "-S")
     assert proc.returncode == 0, proc.stderr
 
 

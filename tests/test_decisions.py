@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from gutheory import decisions
 from gutheory import (
     AttitudeRequiredError,
     DecisionProblem,
@@ -15,7 +14,6 @@ from gutheory import (
     Scheme,
     SelectionRationale,
     ValidationError,
-    compare,
     decide,
     geu,
     gud,
@@ -190,28 +188,6 @@ class TestOtherSelections:
         assert report.selected == "high"
         assert report.rationale is SelectionRationale.STRONGLY_ADVANTAGE
         assert report.attitude == "seeking"
-
-    def test_stage_three_compares_each_pair_at_most_once(self, monkeypatch):
-        # GEU i is [i / 2, 1000 - i / 10]: each lies inside the one before,
-        # so no scheme dominates and all m survive to the attitude stage.
-        m = 40
-        natures = (
-            NatureStatus("a", GUInterval(0.5, 0.5)),
-            NatureStatus("b", GUInterval(0.0, 1.0)),
-        )
-        schemes = tuple(Scheme(f"S{i}", (float(i), 1000 - 0.6 * i)) for i in range(m))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return compare(*args)
-
-        monkeypatch.setattr(decisions, "compare", counted)
-        report = decide(DecisionProblem(natures, schemes, attitude="averse"))
-        assert report.selected == f"S{m - 1}"
-        assert report.rationale is SelectionRationale.RISK_AVERSE_MIN_GUD
-        # Every pair once at stage 3, plus at most 2(m - 1) at stages 1 and 2.
-        assert len(calls) <= m * (m - 1) // 2 + 2 * (m - 1)
 
 
 class TestInvariance:

@@ -442,6 +442,19 @@ def test_classifier_matches_compare(drawn):
             assert _classify(i1.left, i1.right, i2.left, i2.right, tol) is compare(i1, i2, tol)
 
 
+@given(tied_geu_lists())
+def test_dominance_is_two_endpoint_tests(drawn):
+    """The law ``decide`` reads every stage off."""
+    geus, tol = drawn
+    for i in geus:
+        for j in geus:
+            rel = compare(j, i, tol)
+            assert (rel in (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER)) == (
+                j.right - i.right > tol and i.left - j.left <= tol
+            )
+            assert (rel is Relation.STRONGLY_GREATER) == (j.left - i.right > tol)
+
+
 @st.composite
 def decision_problems(draw, positive=False):
     """Problems mixing grid values, which tie often, with generic floats.
@@ -475,6 +488,25 @@ def decision_problems(draw, positive=False):
 
 def _outcome(report):
     return report.selected, report.rationale, report.note
+
+
+def _selection(report):
+    """The outcome and the comparison column, shaped as
+    :func:`_three_scan_selection` returns them."""
+    column = [
+        None if entry is None else (entry.scheme, entry.versus, entry.relation)
+        for entry in report.comparison_column
+    ]
+    return (*_outcome(report), column)
+
+
+# GEU i is [i / 2, 1000 - i / 10]: each lies inside the one before, so no
+# scheme dominates and all 40 survive to the attitude stage.
+NESTED = DecisionProblem(
+    (NatureStatus("a", GUInterval(0.5, 0.5)), NatureStatus("b", GUInterval(0.0, 1.0))),
+    tuple(Scheme(f"S{i}", (float(i), 1000 - 0.6 * i)) for i in range(40)),
+    attitude="averse",
+)
 
 
 def _three_scan_selection(problem, report):
@@ -535,22 +567,33 @@ class TestDecideMetamorphic:
             attitude="averse",
         )
     )
+    @example(NESTED)
     def test_selection_equals_three_scans_of_the_matrix(self, problem):
         report = decide(problem)
-        column = [
-            None if entry is None else (entry.scheme, entry.versus, entry.relation)
-            for entry in report.comparison_column
-        ]
-        assert (*_outcome(report), column) == _three_scan_selection(problem, report)
+        assert _selection(report) == _three_scan_selection(problem, report)
+
+    @settings(max_examples=300)
+    @given(tied_geu_lists(), st.sampled_from(ATTITUDES))
+    def test_tied_geus_select_as_three_scans_of_the_matrix(self, drawn, attitude):
+        geus, tol = drawn
+        assume(geus)
+        problem = DecisionProblem(
+            (NatureStatus("N0", GUInterval(0.5, 0.5)),),
+            tuple(Scheme(f"S{i}", (1.0,)) for i in range(len(geus))),
+            attitude=attitude,
+            tolerance=tol,
+        )
+        with mock.patch.object(decisions, "geu", side_effect=geus):
+            report = decide(problem)
+        assert report.geus == tuple(geus)
+        assert _selection(report) == _three_scan_selection(problem, report)
 
     @given(decision_problems())
-    def test_stages_one_and_two_compare_at_most_twice_per_rival(self, problem):
+    @example(NESTED)
+    def test_compares_once_per_column_entry(self, problem):
         with mock.patch.object(decisions, "compare", wraps=decisions.compare) as counted:
-            report = decide(problem)
-        assume(report.rationale in (
-            SelectionRationale.STRONGLY_ADVANTAGE, SelectionRationale.WEAKLY_ADVANTAGE
-        ))
-        assert counted.call_count <= 2 * (len(problem.schemes) - 1)
+            decide(problem)
+        assert counted.call_count == len(problem.schemes) - 1
 
     @given(decision_problems(), st.data())
     def test_nature_permutation_changes_nothing(self, problem, data):
