@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gutheory import decisions
 from gutheory import (
     AttitudeRequiredError,
     DecisionProblem,
@@ -14,6 +15,7 @@ from gutheory import (
     Scheme,
     SelectionRationale,
     ValidationError,
+    compare,
     decide,
     geu,
     gud,
@@ -188,6 +190,30 @@ class TestOtherSelections:
         assert report.selected == "high"
         assert report.rationale is SelectionRationale.STRONGLY_ADVANTAGE
         assert report.attitude == "seeking"
+
+    def test_stage_three_compares_each_pair_at_most_once(self, monkeypatch):
+        # GEU i is [i / 2, 1000 - i / 10]: each lies inside the one before,
+        # so no scheme dominates and all m survive to the attitude stage.
+        m = 40
+        natures = (
+            NatureStatus("a", GUInterval(0.5, 0.5)),
+            NatureStatus("b", GUInterval(0.0, 1.0)),
+        )
+        schemes = tuple(Scheme(f"S{i}", (float(i), 1000 - 0.6 * i)) for i in range(m))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compare(*args)
+
+        monkeypatch.setattr(decisions, "compare", counted)
+        report = decide(DecisionProblem(natures, schemes, attitude="averse"))
+        assert report.selected == f"S{m - 1}"
+        assert report.rationale is SelectionRationale.RISK_AVERSE_MIN_GUD
+        # Stage 3 reads the endpoint law and compares no pair; the only
+        # calls are the comparison column's m - 1, each pair once.
+        assert len(calls) == m - 1
+        assert len({(id(a), id(b)) for a, b, *_ in calls}) == m - 1
 
 
 class TestInvariance:

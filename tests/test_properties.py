@@ -595,6 +595,16 @@ class TestDecideMetamorphic:
             decide(problem)
         assert counted.call_count == len(problem.schemes) - 1
 
+    @given(decision_problems())
+    def test_stages_one_and_two_compare_at_most_twice_per_rival(self, problem):
+        with mock.patch.object(decisions, "compare", wraps=decisions.compare) as counted:
+            report = decide(problem)
+        assume(report.rationale in (
+            SelectionRationale.STRONGLY_ADVANTAGE, SelectionRationale.WEAKLY_ADVANTAGE
+        ))
+        assert counted.call_count <= 2 * (len(problem.schemes) - 1)
+        assert counted.call_count == len(problem.schemes) - 1
+
     @given(decision_problems(), st.data())
     def test_nature_permutation_changes_nothing(self, problem, data):
         order = data.draw(st.permutations(range(len(problem.natures))))
