@@ -43,7 +43,7 @@ from .decisions import (
     render_decision_table,
     report_to_dict,
 )
-from .errors import GutError, IntervalError, brief
+from .errors import GutError, IntervalError, ValidationError, brief
 from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
@@ -140,22 +140,28 @@ _SLICE = 4096
 _BLOCK = 1 << 16
 
 
-def _flat_texts(values):
-    """A function from a slice of ``values`` to the JSON texts of its
-    elements when every element has the same scalar type, else None."""
+def _flat_joiner(values):
+    """A function from a slice of ``values`` and a separator to the JSON
+    texts of the slice's elements joined by it, when every element has the
+    same scalar type, else None."""
     kinds = set(map(type, values))
     if kinds == {float}:
-        return _float_texts
+        return lambda part, sep: sep.join(_float_texts(part))
     if kinds == {str}:
-        # Each distinct text is encoded once: a relation matrix row repeats
-        # seven texts.
-        def texts(part):
-            encoded = {text: _encode_str(text) for text in set(part)}
-            return map(encoded.__getitem__, part)
-        return texts
+        return _join_strings
     if kinds == {int}:
-        return lambda part: map(int.__repr__, part)
+        return lambda part, sep: sep.join(map(int.__repr__, part))
     return None
+
+
+def _join_strings(part, sep: str) -> str:
+    # Each distinct text is encoded once: a relation matrix row repeats
+    # seven texts.  When each one encodes to itself in quotes, one join
+    # quotes the whole slice.
+    encoded = {text: _encode_str(text) for text in set(part)}
+    if all(code[1:-1] == text for text, code in encoded.items()):
+        return '"' + f'"{sep}"'.join(part) + '"'
+    return sep.join(map(encoded.__getitem__, part))
 
 
 def _json_pieces(obj, pad: str = ""):
@@ -177,8 +183,8 @@ def _json_pieces(obj, pad: str = ""):
                 opening = sep
             yield f"\n{pad}}}"
             return
-        texts = _flat_texts(obj)
-        if texts is None:
+        join = _flat_joiner(obj)
+        if join is None:
             opening = "[\n" + inner
             for value in obj:
                 pieces = _json_pieces(value, inner)
@@ -190,7 +196,7 @@ def _json_pieces(obj, pad: str = ""):
         for start in range(0, len(obj), _SLICE):
             opening = sep if start else "[\n" + inner
             closing = f"\n{pad}]" if start + _SLICE >= len(obj) else ""
-            yield opening + sep.join(texts(obj[start:start + _SLICE])) + closing
+            yield opening + join(obj[start:start + _SLICE], sep) + closing
     elif isinstance(obj, str):
         yield _encode_str(obj)
     elif isinstance(obj, float):
@@ -306,7 +312,7 @@ def _run_validate(document: dict, args: argparse.Namespace) -> tuple[str, str | 
             lines.append("violations:")
             lines += [f"  - {v}" for v in violations]
         text = "\n".join(lines)
-    return text, f"invalid space: {'; '.join(violations)}" if violations else None
+    return text, f"invalid space: {ValidationError(violations)}" if violations else None
 
 
 _COMMANDS = {

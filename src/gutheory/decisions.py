@@ -27,9 +27,16 @@ others.  At stage 3 the j with ``fl(a_i - a_j) <= tol`` form a suffix of
 the schemes sorted by left endpoint, and i survives unless that suffix's
 largest right endpoint ``r`` gives ``fl(r - b_i) > tol``.  So the column's
 m - 1 calls are all the ``compare`` calls ``decide`` makes, and stage 3
-takes O(m log m).  The full relation matrix is built only when
-``DecisionReport.relations`` is read, as the JSON report does; the table
-never reads it.
+takes O(m log m).
+
+The full relation matrix reads the same endpoint tests row by row.  Over
+the schemes sorted by left endpoint, and again by right endpoint, each
+test a row makes holds on a suffix, so bisection splits each sorted side
+into four regions, and a 16-entry table maps each pair of regions to the
+relation ``_classify`` gives there.  A row costs six bisections and a few
+whole-row operations in C, with no call per cell.  The JSON report reads
+the rows as relation texts, and ``DecisionReport.relations`` builds them
+as ``Relation`` members on first read; the table never builds them.
 
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
@@ -43,6 +50,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from enum import Enum, unique
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import AttitudeRequiredError, ValidationError, brief
 from .intervals import (
@@ -271,24 +279,84 @@ class DecisionReport(_Frozen):
         return self._relations
 
 
-def relation_matrix(
-    geus: Sequence[GUInterval], tol: float = DEFAULT_TOLERANCE
-) -> tuple[tuple[Relation, ...], ...]:
-    """Pairwise comparison table; the diagonal is ``Equal``.
+def _ranks(values: list[float]) -> list[int]:
+    """The place of each value in ``sorted(values)``, ties in input order."""
+    ranks = [0] * len(values)
+    for place, k in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        ranks[k] = place
+    return ranks
 
-    Each GEU and ``tol`` are checked once, by comparing the GEU with itself,
-    and each pair is classified once: a cell below the diagonal mirrors the
-    cell above it, since ``compare(b, a) is compare(a, b).mirrored``.
+
+def _relation_rows(geus: Sequence[GUInterval], tol: float, table: tuple):
+    """Yield the rows of the relation matrix in input order, each cell read
+    off ``table``, a 16-entry table laid out as :data:`_RELATIONS` is.
+
+    A row ``[a, b]`` meets a column ``[x, y]`` through six endpoint tests,
+    three on the column's left endpoint and three on its right::
+
+        fl(a - x) <= tol    fl(x - a) > tol    fl(x - b) > tol
+        fl(a - y) <= tol    fl(b - y) <= tol   fl(y - b) > tol
+
+    ``_classify`` reads nothing else: ``abs(a - x) <= tol`` is the first
+    test and not the second, since ``fl(x - a) == -fl(a - x)``.  Rounded
+    subtraction is monotone in each argument, so over the lefts sorted
+    ascending each test on them holds on a suffix, and so does each test on
+    the sorted rights.  The suffixes on each side nest: with ``tol >= 0``,
+    ``fl(x - a) > tol`` makes ``fl(a - x)`` negative, and ``a <= b`` gives
+    ``fl(x - b) <= fl(x - a)``; likewise on the right.  So each side splits
+    into four regions, 0 to 3, by how many of its tests hold, and bisection
+    finds their bounds.  The regions are written as run-length bytes in
+    sorted order, the left region times 4 and the right region as it is,
+    gathered into input order and added as big-endian integers, which
+    cannot carry, into one code ``4 * left + right`` per cell.
     """
     for g in geus:
         compare(g, g, tol)
-    rows: list[tuple[Relation, ...]] = []
-    for i, gi in enumerate(geus):
-        a1, b1 = gi.left, gi.right
-        row = [r[i].mirrored for r in rows]
-        row += [_classify(a1, b1, g.left, g.right, tol) for g in geus[i:]]
-        rows.append(tuple(row))
-    return tuple(rows)
+    m = len(geus)
+    if m < 2:
+        # itemgetter of one index returns a scalar, and of none raises.  A
+        # lone GEU is Equal to itself: left region 1, right region 2.
+        yield from ((table[6],) for _ in geus)
+        return
+    lefts = [g.left for g in geus]
+    rights = [g.right for g in geus]
+    # Gathering a sorted row at the ranks puts it in input order.
+    gather_left, gather_right = itemgetter(*_ranks(lefts)), itemgetter(*_ranks(rights))
+    xs, ys = sorted(lefts), sorted(rights)
+    for a, b in zip(lefts, rights):
+        i1 = bisect_left(xs, True, key=lambda x: a - x <= tol)
+        i2 = bisect_left(xs, True, i1, key=lambda x: x - a > tol)
+        i3 = bisect_left(xs, True, i2, key=lambda x: x - b > tol)
+        j1 = bisect_left(ys, True, key=lambda y: a - y <= tol)
+        j2 = bisect_left(ys, True, j1, key=lambda y: b - y <= tol)
+        j3 = bisect_left(ys, True, j2, key=lambda y: y - b > tol)
+        left = b"\x00" * i1 + b"\x04" * (i2 - i1) + b"\x08" * (i3 - i2) + b"\x0c" * (m - i3)
+        right = b"\x00" * j1 + b"\x01" * (j2 - j1) + b"\x02" * (j3 - j2) + b"\x03" * (m - j3)
+        codes = (
+            int.from_bytes(gather_left(left), "big") + int.from_bytes(gather_right(right), "big")
+        ).to_bytes(m, "big")
+        yield itemgetter(*codes)(table)
+
+
+#: The relation for each code ``4 * left region + right region``, read off
+#: the classifier at one point of each region of the row ``[1, 3]``.
+_RELATIONS = tuple(
+    _classify(1.0, 3.0, x, y, 0.0) for x in (0.0, 1.0, 2.0, 4.0) for y in (0.0, 2.0, 3.0, 4.0)
+)
+_RELATION_VALUES = tuple(rel.value for rel in _RELATIONS)
+
+
+def relation_matrix(
+    geus: Sequence[GUInterval], tol: float = DEFAULT_TOLERANCE
+) -> tuple[tuple[Relation, ...], ...]:
+    """Pairwise comparison table: ``relation_matrix(geus, tol)[i][j] is
+    compare(geus[i], geus[j], tol)``, and the diagonal is ``Equal``.
+
+    Each GEU and ``tol`` are checked once, by comparing the GEU with itself.
+    Each row is then read off the endpoint ranks of the others, with no
+    comparison per cell: see :func:`_relation_rows`.
+    """
+    return tuple(_relation_rows(geus, tol, _RELATIONS))
 
 
 def decide(problem: DecisionProblem) -> DecisionReport:
@@ -447,10 +515,7 @@ def report_to_dict(report: DecisionReport) -> dict:
     return {
         "schemes": list(report.scheme_names),
         "geus": [[iv.left, iv.right] for iv in report.geus],
-        # ``_value_`` is the member's own attribute: the ``value`` property,
-        # or a dict keyed by members (hashed by ``Enum.__hash__``), costs a
-        # Python call for each of the m * m cells.
-        "relations": [[rel._value_ for rel in row] for row in report.relations],
+        "relations": list(_relation_rows(report.geus, report.tolerance, _RELATION_VALUES)),
         "comparisons": [
             None
             if entry is None

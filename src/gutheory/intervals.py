@@ -263,9 +263,6 @@ class Relation(Enum):
     WEAKLY_GREATER = "WeaklyGreater"
 
 
-# A plain attribute set once, not a property: ``relation_matrix`` reads it
-# for every cell below the diagonal, and ``decide`` for the column entries
-# after the last best.
 for _a, _b in (
     (Relation.EQUAL, Relation.EQUAL),
     (Relation.STRONGLY_SMALLER, Relation.STRONGLY_GREATER),

@@ -605,6 +605,17 @@ class TestValidate:
         assert err.count("\n") == 1 and len(err.encode()) < 1024
         assert len(out.encode()) < 1024
 
+    def test_error_line_counts_what_it_does_not_name(self, capsys):
+        # Each of the 64 violations names its atom in full.
+        atoms = [f"{i:02d}" + "x" * 75 for i in range(64)]
+        document = {"atoms": atoms, "gum": {a: [0.9, 0.2] for a in atoms}}
+        code, out, err = run(
+            capsys, "validate", "--input", json.dumps(document), "--format", "json"
+        )
+        assert code == 1 and len(json.loads(out)["violations"]) == 64
+        assert err.startswith("error: invalid space:") and err.endswith("; and 61 more\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+
 
 @pytest.mark.parametrize(
     "command, document, where",

@@ -433,6 +433,46 @@ class TestRelationMatrix:
         with pytest.raises(IntervalError):
             relation_matrix(geus, tol)
 
+    @pytest.mark.parametrize(
+        "geus",
+        [
+            [],
+            [GUInterval(0.2, 0.4)],
+            [GUInterval(0.2, 0.4), GUInterval(0.2, 0.4)],
+            [GUInterval(0.2, 0.4), GUInterval(0.5, 0.5)],
+        ],
+        ids=["m0", "m1", "m2-equal", "m2-apart"],
+    )
+    def test_fewest_intervals(self, geus):
+        expected = tuple(tuple(compare(a, b) for b in geus) for a in geus)
+        assert relation_matrix(geus) == expected
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOLERANCE, 0.25])
+    @pytest.mark.parametrize("row", [(1.0, 3.0), (0.5, 0.5), (-2.0, 7.5), (0.25, 0.5)])
+    def test_table_is_the_classifier_on_endpoint_regions(self, row, tol):
+        """Each code ``4 * left region + right region`` maps to what
+        ``_classify`` returns for every column whose endpoints fall in those
+        regions, where a region counts the row's endpoint tests that hold."""
+        a, b = row
+        grid = sorted({a, b, a - tol, a + tol, b - tol, b + tol, *(k / 4 for k in range(-12, 40))})
+        for x in grid:
+            left = (a - x <= tol) + (x - a > tol) + (x - b > tol)
+            for y in grid:
+                right = (a - y <= tol) + (b - y <= tol) + (y - b > tol)
+                expected = decisions._RELATIONS[4 * left + right]
+                assert _classify(a, b, x, y, tol) is expected
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOLERANCE, 0.25])
+    def test_many_tied_intervals(self, tol):
+        """About 300 intervals on a coarse grid: exact ties, shared
+        endpoints and zero widths, beyond what ``tied_geu_lists`` draws."""
+        rng = np.random.default_rng(7)
+        points = rng.integers(0, 9, size=(300, 2)) / 8
+        geus = [GUInterval(*sorted(p)) for p in points.tolist()]
+        assert sum(g.left == g.right for g in geus) > 10
+        expected = tuple(tuple(compare(a, b, tol) for b in geus) for a in geus)
+        assert relation_matrix(geus, tol) == expected
+
 
 @given(tied_geu_lists())
 def test_classifier_matches_compare(drawn):
@@ -995,3 +1035,12 @@ class TestNumericContract:
         last = chain[-1]
         assert last[0] <= got.estimate <= last[1]
         assert 0.0 <= got.error_bound < math.inf
+
+
+@given(decision_problems())
+@example(NESTED)
+def test_json_rows_are_the_values_of_the_matrix(problem):
+    report = decide(problem)
+    rows = decisions.report_to_dict(report)["relations"]
+    matrix = relation_matrix(report.geus, report.tolerance)
+    assert [list(row) for row in rows] == [[rel.value for rel in row] for row in matrix]

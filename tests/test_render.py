@@ -113,3 +113,15 @@ def test_float_lists_around_the_slice_size(n):
     values = [(-1) ** i * (i + 0.1) / 7 for i in range(n)]
     payload = {"outer": {"elements": values, "after": [values[:3], n]}, "n": n}
     assert _as_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "\x00", "\x7f", "é", "\ud800"])
+@pytest.mark.parametrize("where", [0, _SLICE - 1, _SLICE, 2 * _SLICE + 2])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_one_slice_needs_escaping(text, where, container):
+    """Every other slice holds only texts that print as themselves in
+    quotes, which the writer joins whole."""
+    values = [("Equal", "WeaklyGreater", "")[i % 3] for i in range(2 * _SLICE + 3)]
+    values[where] = f"a{text}b"
+    payload = {"rows": [container(values), container(values[:5])]}
+    assert _as_json(payload) == reference(payload)
