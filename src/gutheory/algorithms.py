@@ -182,21 +182,19 @@ def generate_sequence(
     family = specs[0].family
     if all(spec.family == family for spec in specs):
         # One family: draw the k x n block of standard draws in one call,
-        # in the same row-major order as the scalar draws, then scale and
-        # shift each column in place.
+        # in the same row-major order as the scalar draws, and keep each
+        # row's picked draw.
         block = getattr(rng, STANDARD[family])((k, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            block *= factors
-            block += offsets
         picks = rng.integers(0, n, size=k)
         kept = block[np.arange(k), picks]
     else:
         from ._replay import replay_mixed
 
         picks, kept = replay_mixed(rng, [spec.family for spec in specs], k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            kept *= factors[picks]
-            kept += offsets[picks]
+    # Each kept draw x becomes x * factor + offset of its spec, in two roundings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept *= factors[picks]
+        kept += offsets[picks]
     # Overflows are inf here.
     finite = bool(np.isfinite(kept).all())
     elements = kept.tolist()
@@ -233,10 +231,9 @@ def classify(
             raise IntervalError(f"item {i} is an inverse interval: {iv}")
     lefts = [iv.left for iv in intervals]
     rights = [iv.right for iv in intervals]
-    # ``order`` holds the unclassed indices sorted stably by left endpoint,
-    # and ``keys`` their left endpoints.
+    # ``order`` holds the unclassed indices sorted stably by left endpoint;
+    # the window bisects it by each index's left endpoint.
     order = sorted(range(len(intervals)), key=lefts.__getitem__)
-    keys = [lefts[i] for i in order]
     placed = [False] * len(intervals)
     # A member x of the pivot's class passes abs(left - x.left) <= delta in
     # floating point.  The subtraction rounds by at most 2**-53 of the exact
@@ -253,8 +250,8 @@ def classify(
         if placed[pivot]:
             continue
         left, right = lefts[pivot], rights[pivot]
-        lo = bisect_left(keys, left - reach)
-        hi = bisect_right(keys, left + reach)
+        lo = bisect_left(order, left - reach, key=lefts.__getitem__)
+        hi = bisect_right(order, left + reach, lo, key=lefts.__getitem__)
         window = order[lo:hi]
         # delta_neighbour's two comparisons, on endpoints checked above.
         members = sorted(
@@ -264,7 +261,5 @@ def classify(
         for i in members:
             placed[i] = True
         classes.append(members)
-        kept = [i for i in window if not placed[i]]
-        order[lo:hi] = kept
-        keys[lo:hi] = [lefts[i] for i in kept]
+        order[lo:hi] = [i for i in window if not placed[i]]
     return classes

@@ -144,24 +144,23 @@ def _flat_joiner(values):
     """A function from a slice of ``values`` and a separator to the JSON
     texts of the slice's elements joined by it, when every element has the
     same scalar type, else None."""
+    if isinstance(values[0], str):
+        # Each distinct text is encoded once: a relation matrix row repeats
+        # seven texts.  A member that is unhashable, or not a str, raises.
+        try:
+            encoded = {text: _encode_str(text) for text in set(values)}
+        except TypeError:
+            return None
+        if all(code[1:-1] == text for text, code in encoded.items()):
+            # Each text encodes to itself in quotes: one join quotes all.
+            return lambda part, sep: '"' + f'"{sep}"'.join(part) + '"'
+        return lambda part, sep: sep.join(map(encoded.__getitem__, part))
     kinds = set(map(type, values))
     if kinds == {float}:
         return lambda part, sep: sep.join(_float_texts(part))
-    if kinds == {str}:
-        return _join_strings
     if kinds == {int}:
         return lambda part, sep: sep.join(map(int.__repr__, part))
     return None
-
-
-def _join_strings(part, sep: str) -> str:
-    # Each distinct text is encoded once: a relation matrix row repeats
-    # seven texts.  When each one encodes to itself in quotes, one join
-    # quotes the whole slice.
-    encoded = {text: _encode_str(text) for text in set(part)}
-    if all(code[1:-1] == text for text, code in encoded.items()):
-        return '"' + f'"{sep}"'.join(part) + '"'
-    return sep.join(map(encoded.__getitem__, part))
 
 
 def _json_pieces(obj, pad: str = ""):

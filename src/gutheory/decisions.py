@@ -447,12 +447,8 @@ _SYMBOLS = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
-
-
 def _fmt_interval(iv: GUInterval) -> str:
-    return f"[{_fmt(iv.left)},{_fmt(iv.right)}]"
+    return f"[{iv.left:g},{iv.right:g}]"
 
 
 def _width(cell: str) -> int:
@@ -489,18 +485,16 @@ def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> s
             )
         rows.append(
             [scheme.name]
-            + [_fmt(p) for p in scheme.payoffs]
+            + [f"{p:g}" for p in scheme.payoffs]
             + [_fmt_interval(report.geus[i]), comparison]
         )
-    # An ASCII cell prints one column per character, so an ASCII row pads
-    # each cell to its column's width as it stands.
-    ascii_rows = ["".join(row).isascii() for row in rows]
-    measure = len if all(ascii_rows) else _width
-    widths = [max(map(measure, column)) for column in zip(*rows)]
-    lines = []
-    for row, is_ascii in zip(rows, ascii_rows):
-        pads = widths if is_ascii else [w + len(c) - _width(c) for c, w in zip(row, widths)]
-        lines.append("  ".join(map(str.ljust, row, pads)).rstrip())
+    # Each cell pads to its column's printed width, counted in the columns
+    # it prints to rather than in code points.
+    widths = [max(map(_width, column)) for column in zip(*rows)]
+    lines = [
+        "  ".join(c.ljust(w + len(c) - _width(c)) for c, w in zip(row, widths)).rstrip()
+        for row in rows
+    ]
     lines.append("")
     lines.append(f"selected: {report.selected} ({report.rationale.value})")
     if report.attitude:

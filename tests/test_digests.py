@@ -6,9 +6,11 @@ sampler was vectorised, the ``decide``, ``cluster`` and ``validate`` ones
 before the JSON writer replaced ``json.dumps`` (the stage-2 ``weak`` ones
 before ``decide`` stopped building the relation matrix), and the table-format ones
 of ``cluster``, ``generate`` and ``validate`` before stdout was written as
-UTF-8 whatever the locale, and the long mixed-family ``generate`` ones
-before mixed candidates were replayed from a block of PCG64 words; a change to the draw order, the arithmetic, the
-render or the write shows here as a digest mismatch.
+UTF-8 whatever the locale, the long mixed-family ``generate`` ones
+before mixed candidates were replayed from a block of PCG64 words, and the
+all-ASCII ``decide`` table one before ASCII rows lost their own width
+rule; a change to the draw order, the arithmetic, the render or the write
+shows here as a digest mismatch.
 """
 
 import functools
@@ -220,6 +222,28 @@ def weak_problem(rng: random.Random) -> dict:
     return {"natures": natures, "schemes": schemes}
 
 
+def ascii_problem(rng: random.Random) -> dict:
+    """A stage-1 problem printed in ASCII alone: ASCII names, and payoff
+    rows at levels 1.5 apart under measures at most 1.4 wide, so each GEU
+    lies strictly above or below every other level's and each comparison
+    prints ``<``, ``>`` or ``=``.  The second row repeats the first, and one
+    row pays a level above all others."""
+    natures = []
+    for j in range(rng.randint(1, 5)):
+        left = rng.uniform(0.05, 0.2)
+        natures.append({"name": f"Status {j + 1}", "gum": [left, left * rng.uniform(1.0, 1.4)]})
+    scale = rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(0, 12)
+    base = [rng.uniform(0.5, 1.0) * scale for _ in natures]
+    levels = [rng.randint(0, 6) for _ in range(rng.randint(2, 25))]
+    levels.insert(1, levels[0])
+    levels.insert(rng.randrange(2, len(levels) + 1), 8)
+    schemes = [
+        {"name": f"Scheme {i + 1}", "payoffs": [p * 1.5**level for p in base]}
+        for i, level in enumerate(levels)
+    ]
+    return {"natures": natures, "schemes": schemes}
+
+
 TIED = functools.partial(wide_problem, tied=True)
 
 DECIDE_CASES = {
@@ -265,6 +289,8 @@ GRID_DIGESTS = {
     "validate-valid": "879997331e31b2656768c240e8ab2c6138ca3c7f6e05a5a9a3812f8eb54f5277",
 }
 
+ASCII_TABLE_DIGEST = "66df57218ba6c0b8bc94ea9e59d9d9efe04041a61a0d24035fed15da9c6ebcad"
+
 
 def grid_digest(capsys, build, argv, code, check) -> str:
     """Hash the stdout of ``argv`` over one document per seed in
@@ -299,9 +325,22 @@ def test_decide_table_never_builds_the_matrix(capsys, monkeypatch, case):
         raise AssertionError("the table read the relation matrix")
 
     monkeypatch.setattr(decisions, "relation_matrix", refuse)
+    monkeypatch.setattr(decisions, "_relation_rows", refuse)
     build, argv = DECIDE_CASES[case]
     digest = grid_digest(capsys, build, ["decide", *argv], 0, lambda out: None)
     assert digest == GRID_DIGESTS[f"decide-{case}"]
+
+
+def test_decide_ascii_table_digest(capsys):
+    """The table of a problem whose every cell is ASCII, which none of the
+    grids above prints."""
+    def check(out):
+        assert out.isascii()
+        assert "(StronglyAdvantage)" in out and " = GEU1" in out
+
+    argv = ["decide", "--format", "table"]
+    digest = grid_digest(capsys, ascii_problem, argv, 0, check)
+    assert digest == ASCII_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("delta", CLUSTER_DELTAS)

@@ -125,3 +125,12 @@ def test_one_slice_needs_escaping(text, where, container):
     values[where] = f"a{text}b"
     payload = {"rows": [container(values), container(values[:5])]}
     assert _as_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize("other", [None, True, 1, 1.5, [], {}, ["x"]])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_text_lists_with_another_member(other, container):
+    """A list that starts with a text and later holds something else is not
+    a flat text list, though its first member says so."""
+    payload = {"mixed": container(["Equal", "aé", other, "Equal"])}
+    assert _as_json(payload) == reference(payload)
