@@ -12,14 +12,13 @@ replay the scalar draws from a block of PCG64's raw 64-bit words, in
 from __future__ import annotations
 
 import math
-import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, IntervalError, brief
-# ``classify`` inlines ``delta_neighbour``'s test; the name stays bound here
-# because ``bench/trace_child.py`` counts neighbour tests by wrapping
-# ``algorithms.delta_neighbour``.
+# ``classify`` reads ``delta_neighbour``'s test off sorted endpoints and
+# never calls it; the name stays bound here because ``bench/trace_child.py``
+# counts neighbour tests by wrapping ``algorithms.delta_neighbour``.
 from .intervals import IntervalLike, _Frozen, as_interval, delta_neighbour  # noqa: F401
 
 FAMILIES = ("normal", "uniform", "exponential")
@@ -218,9 +217,10 @@ def classify(
     Neighbourhood is checked against the pivot only, so members of one
     class need not be within ``delta`` of each other.
 
-    Only the unclassed items whose left endpoints lie in the δ-window
-    around the pivot's are tested, found by bisection in an index sorted
-    by left endpoint; the classes are the same as those of the full
+    The unclassed items whose left endpoints pass the left half of
+    ``delta_neighbour``'s test are found by bisecting an index sorted by
+    left endpoint on that test itself, and only they are tested on their
+    right endpoints.  The classes are the same as those of the full
     greedy sweep over every remaining item.
     """
     intervals = [as_interval(item) for item in items]
@@ -231,33 +231,22 @@ def classify(
             raise IntervalError(f"item {i} is an inverse interval: {iv}")
     lefts = [iv.left for iv in intervals]
     rights = [iv.right for iv in intervals]
-    # ``order`` holds the unclassed indices sorted stably by left endpoint;
-    # the window bisects it by each index's left endpoint.
+    # ``order`` holds the unclassed indices sorted stably by left endpoint.
     order = sorted(range(len(intervals)), key=lefts.__getitem__)
     placed = [False] * len(intervals)
-    # A member x of the pivot's class passes abs(left - x.left) <= delta in
-    # floating point.  The subtraction rounds by at most 2**-53 of the exact
-    # gap, and is exact when the gap is subnormal, so the exact gap is at
-    # most delta / (1 - 2**-53), or delta itself when delta is subnormal;
-    # reach is at least that.  Rounding is monotone and x.left is a float,
-    # so fl(left - reach) <= x.left <= fl(left + reach): the window holds
-    # every member, and the exact test below decides who joins.  A reach
-    # that overflows to inf takes in every item; so does a delta beyond
-    # the float range (a huge int), which cannot be multiplied as a float.
-    reach = delta * (1.0 + 1e-12) if delta <= sys.float_info.max else math.inf
     classes: list[list[int]] = []
     for pivot in range(len(intervals)):
         if placed[pivot]:
             continue
         left, right = lefts[pivot], rights[pivot]
-        lo = bisect_left(order, left - reach, key=lefts.__getitem__)
-        hi = bisect_right(order, left + reach, lo, key=lefts.__getitem__)
+        # fl(x - left) == -fl(left - x), and rounded subtraction is monotone
+        # in x, so over ``order`` each key holds on a suffix, and the window
+        # is exactly the unclassed items that pass abs(left - x) <= delta; a
+        # member needs only the test on its right endpoint.
+        lo = bisect_left(order, True, key=lambda i: left - lefts[i] <= delta)
+        hi = bisect_left(order, True, lo, key=lambda i: lefts[i] - left > delta)
         window = order[lo:hi]
-        # delta_neighbour's two comparisons, on endpoints checked above.
-        members = sorted(
-            i for i in window
-            if abs(left - lefts[i]) <= delta and abs(right - rights[i]) <= delta
-        )
+        members = sorted(i for i in window if abs(right - rights[i]) <= delta)
         for i in members:
             placed[i] = True
         classes.append(members)

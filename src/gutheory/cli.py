@@ -105,8 +105,6 @@ def _load_document(source: str) -> dict:
             parse_int=_parse_int,
             parse_constant=_reject_constant,
         )
-    except _UsageError:
-        raise
     except json.JSONDecodeError as exc:
         raise _UsageError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -393,11 +393,10 @@ def decide(problem: DecisionProblem) -> DecisionReport:
         # holds i itself, so the scheme with the largest right endpoint
         # survives and survivors is never empty.
         pairs = sorted((g.left, g.right) for g in geus)
-        lefts = [p[0] for p in pairs]
         tops = [*accumulate((p[1] for p in reversed(pairs)), max)][::-1]
         survivors = [
             i for i, g in enumerate(geus)
-            if tops[bisect_left(lefts, True, key=lambda x: g.left - x <= tol)] - g.right <= tol
+            if tops[bisect_left(pairs, True, key=lambda p: g.left - p[0] <= tol)] - g.right <= tol
         ]
         if problem.attitude is None:
             raise AttitudeRequiredError(

@@ -303,7 +303,7 @@ def _member_path(path: str, key: str) -> str:
     return f"{path}['{quoted}']"
 
 
-def first_violation(value, schema: dict, path: str = "$") -> tuple[str, str] | None:
+def first_violation(value, schema: dict) -> tuple[str, str] | None:
     """Return ``(json_path, reason)`` for the first place ``value`` breaks
     ``schema``, or None when it conforms.
 
@@ -316,6 +316,7 @@ def first_violation(value, schema: dict, path: str = "$") -> tuple[str, str] | N
     if found is None:
         return None
     reason, *keys = found
+    path = "$"
     for key in reversed(keys):
         path = f"{path}[{key}]" if isinstance(key, int) else _member_path(path, key)
     return path, reason

@@ -540,6 +540,12 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err == "error: cannot read '-': not UTF-8 text\n"
 
+    def test_stdin_not_an_object_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[1]"))
+        code, out, err = run(capsys, "validate", "--input", "-")
+        assert code == 2 and out == ""
+        assert err == "error: the input document must be a JSON object\n"
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "validate", "--input", json.dumps(SPACE), "--format", "json"

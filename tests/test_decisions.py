@@ -295,6 +295,8 @@ class TestValidationAndParsing:
     def test_empty_parts(self):
         with pytest.raises(ValidationError):
             DecisionProblem((), (Scheme("x", ()),))
+        with pytest.raises(ValidationError, match="^at least one scheme is required$"):
+            DecisionProblem(NATURES, ())
 
     def test_from_dict(self):
         document = {

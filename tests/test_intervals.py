@@ -65,6 +65,11 @@ class TestConstruction:
         with pytest.raises(IntervalError):
             as_interval(value)
 
+    def test_as_interval_passes_constructor_errors_through(self):
+        with pytest.raises(IntervalError) as err:
+            as_interval([math.nan, 1.0])
+        assert str(err.value) == "interval endpoints must be finite, got [nan, 1.0]"
+
     def test_midpoint_near_the_float_maximum(self):
         assert GUInterval(1.7e308, 1.7e308).midpoint == 1.7e308
 

@@ -851,12 +851,15 @@ class TestClassifyInvariants:
         st.one_of(
             st.just(0.0),
             st.integers(0, 200).map(lambda k: k / 100),
-            st.just(1e308),
+            st.sampled_from([5e-324, 1e308, math.inf, 10**400]),
         ),
     )
     # The float gap 1 - (-2**-54) rounds down to delta = 1, so the second
     # item joins although its exact gap exceeds delta.
     @example([(1.0, 1.0), (-(2.0**-54), -(2.0**-54))], 1.0)
+    # Gaps between these endpoints overflow to inf.
+    @example([(-1.7e308, -1.7e308), (1.7e308, 1.7e308), (-1.7e308, 1.7e308)], 1e308)
+    @example([(-1.7e308, -1.7e308), (1.7e308, 1.7e308), (-1.7e308, 1.7e308)], math.inf)
     def test_equals_full_greedy_sweep(self, pairs, delta):
         items = [GUInterval(a, b) for a, b in pairs]
         expected = []

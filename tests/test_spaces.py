@@ -106,6 +106,11 @@ class TestValidation:
         found = axiom_violations(["A", "B"], {"A": [0.05, 0.05], "B": [0.1, 0.1]}, "strict", math.inf)
         assert found == ("tolerance must be finite and nonnegative, got inf",)
 
+    def test_axiom_violations_names_unreadable_atoms(self):
+        found = axiom_violations(["", "a"], {"a": [1.0, 1.0]})
+        assert found[0] == "atom names must be non-empty strings, got ''"
+        assert axiom_violations(["a"], {"a": "xy"}) == ("atom 'a': 'xy' is not an interval",)
+
     def test_direct_constructor_validates(self):
         with pytest.raises(ValidationError):
             GUMeasureSpace(atoms=("A",), assignment={"A": GUInterval(0.2, 0.3)})
