@@ -22,7 +22,7 @@ from .algorithms import STANDARD
 _SPARE = 1 / 16
 
 #: Words tested for the one-word path at a time, which bounds the memory used.
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 
 #: PCG64 steps its 128-bit state to ``state * _PCG64_MULTIPLIER + inc``.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -105,8 +105,13 @@ def replay_mixed(rng, families: list[str], k: int):
             del more, codes  # so that the block is let go below
     bitgen.advance(n * k + shift - at)
     picks = rng.integers(0, n, size=k)
-    # Each row's picked word; the block is let go.
-    words = words[np.arange(0, n * k, n) + np.cumsum(extra[:k]) + picks]
+    # Each row's picked word, at n * j + extra[0] + ... + extra[j] + picks[j],
+    # with the index built in place in extra; the block is let go.
+    index = np.cumsum(extra[:k], out=extra[:k])
+    index += picks
+    index += np.arange(0, n * k, n)
+    words = words[index]
+    del extra, index
     kind = np.array(slot_bits, np.int8)[picks]
     kept = (words >> np.uint64(11)) * 2.0**-53  # uniform draws
     for family, (_, w) in tables.items():

@@ -33,13 +33,19 @@ STANDARD = {
 
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three distributions, ``gut generate --format json`` peaks at about
-#: 119 MB of resident memory for one family and 116 MB for mixed families.
+#: 80 MB of resident memory for one family and 96 MB for mixed families:
+#: the elements stay in one float64 array until they are written.
 MAX_K = 1_000_000
 
 #: The most candidate draws (``k`` times the number of distributions) that
 #: ``generate_sequence`` makes; memory grows with this product: one family
 #: holds a float per candidate, mixed families a 64-bit word per candidate.
 MAX_DRAWS = 3 * MAX_K
+
+#: The most distributions ``generate_sequence`` draws from.  Each costs
+#: about 0.5 KB as a parsed document and a spec, so at ``k`` = 1 this many
+#: peak at about 80 MB, as three normals do at ``MAX_K``.
+MAX_DISTRIBUTIONS = 85_000
 
 
 class DistributionSpec(_Frozen):
@@ -159,14 +165,23 @@ def generate_sequence(
     draws pick which candidate each position keeps.  That fixed order is
     what makes a seed reproduce the exact sequence.
     """
+    return GUSequence(tuple(_draw(specs, k, seed).tolist()))
+
+
+def _draw(specs: Sequence[DistributionSpec], k: int, seed: int):
+    """The elements of :func:`generate_sequence`, as one float64 array."""
     specs = tuple(specs)
     if not specs:
         raise ConfigurationError("at least one distribution is required")
+    n = len(specs)
+    if n > MAX_DISTRIBUTIONS:
+        raise ConfigurationError(
+            f"the number of distributions must be at most {MAX_DISTRIBUTIONS}, got {n}"
+        )
     if k < 1:
         raise ConfigurationError(f"sequence length must be positive, got {k}")
     if k > MAX_K:
         raise ConfigurationError(f"sequence length must be at most {MAX_K}, got {k}")
-    n = len(specs)
     if k * n > MAX_DRAWS:
         raise ConfigurationError(
             f"k times the number of distributions must be at most {MAX_DRAWS}, "
@@ -186,6 +201,7 @@ def generate_sequence(
         block = getattr(rng, STANDARD[family])((k, n))
         picks = rng.integers(0, n, size=k)
         kept = block[np.arange(k), picks]
+        del block
     else:
         from ._replay import replay_mixed
 
@@ -195,14 +211,13 @@ def generate_sequence(
         kept *= factors[picks]
         kept += offsets[picks]
     # Overflows are inf here.
-    finite = bool(np.isfinite(kept).all())
-    elements = kept.tolist()
-    if not finite:
-        j = next(j for j, x in enumerate(elements) if not math.isfinite(x))
+    beyond = np.flatnonzero(~np.isfinite(kept))
+    if len(beyond):
+        j = int(beyond[0])
         raise ConfigurationError(
-            f"element {j} drew {elements[j]}, which lies beyond the float range"
+            f"element {j} drew {float(kept[j])}, which lies beyond the float range"
         )
-    return GUSequence(tuple(elements))
+    return kept
 
 
 def classify(

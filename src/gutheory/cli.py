@@ -35,7 +35,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
 
-from .algorithms import DistributionSpec, classify, generate_sequence
+from .algorithms import DistributionSpec, _draw, classify
 from .decisions import (
     ATTITUDES,
     DecisionProblem,
@@ -153,7 +153,8 @@ def _flat_joiner(values):
             # Each text encodes to itself in quotes: one join quotes all.
             return lambda part, sep: '"' + f'"{sep}"'.join(part) + '"'
         return lambda part, sep: sep.join(map(encoded.__getitem__, part))
-    kinds = set(map(type, values))
+    # A memoryview holds doubles, as generate's elements do: none to scan.
+    kinds = {float} if isinstance(values, memoryview) else set(map(type, values))
     if kinds == {float}:
         return lambda part, sep: sep.join(_float_texts(part))
     if kinds == {int}:
@@ -163,12 +164,12 @@ def _flat_joiner(values):
 
 def _json_pieces(obj, pad: str = ""):
     """``obj`` as ``json.dumps(..., indent=2)`` prints it once every float is
-    rounded to 12 significant digits; tuples print as lists.  ``pad`` is the
-    indent of the line ``obj`` starts on.  The text comes in pieces: one per
-    member of a container, or more for a large member, and one per
-    ``_SLICE`` elements of a flat list, so a caller can write a large
-    report without holding all of it."""
-    if isinstance(obj, (dict, list, tuple)) and obj:
+    rounded to 12 significant digits; tuples and memoryviews of doubles
+    print as lists.  ``pad`` is the indent of the line ``obj`` starts on.
+    The text comes in pieces: one per member of a container, or more for a
+    large member, and one per ``_SLICE`` elements of a flat list, so a
+    caller can write a large report without holding all of it."""
+    if isinstance(obj, (dict, list, tuple, memoryview)) and obj:
         inner = pad + "  "
         sep = ",\n" + inner
         if isinstance(obj, dict):
@@ -206,7 +207,7 @@ def _json_pieces(obj, pad: str = ""):
         yield "false"
     elif isinstance(obj, int):
         yield int.__repr__(obj)
-    elif isinstance(obj, (dict, list, tuple)):
+    elif isinstance(obj, (dict, list, tuple, memoryview)):
         yield "{}" if isinstance(obj, dict) else "[]"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -257,16 +258,11 @@ def _run_generate(document: dict, args: argparse.Namespace) -> tuple[Iterable[st
     specs = [DistributionSpec.from_dict(d) for d in document["distributions"]]
     seed = args.seed if args.seed is not None else int(document.get("seed", 0))
     k = int(document["k"])
-    sequence = generate_sequence(specs, k, seed)
-    payload = {
-        "seed": seed,
-        "k": k,
-        "generator": "pcg64",
-        "elements": sequence.elements,
-    }
+    # The elements stay in the kernel's float64 array until they are written.
+    elements = memoryview(_draw(specs, k, seed))
+    payload = {"seed": seed, "k": k, "generator": "pcg64", "elements": elements}
     if args.format == "json":
         return _json_pieces(payload), None
-    elements = sequence.elements
     body = (
         "".join(f"\n{x:.12g}" for x in elements[start:start + _SLICE])
         for start in range(0, len(elements), _SLICE)

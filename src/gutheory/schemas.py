@@ -11,11 +11,12 @@ the standard library alone.  It interprets only the keywords the input
 schemas use: ``type``, ``enum``, ``minimum``, ``maximum``,
 ``minLength``, ``required``, ``properties``, ``additionalProperties``,
 ``items`` (a schema or ``false``), ``prefixItems``, ``minItems``,
-``uniqueItems`` and ``if``/``then``, and the types ``object``, ``array``,
-``string``, ``number`` and ``integer``; ``$schema`` and ``title`` are
-annotations.  Any other keyword or type raises ``ValueError``.  Its
-reasons use jsonschema's wording, with each value or key from the
-document cut to a fixed length, so an error stays one short line.
+``maxItems``, ``uniqueItems`` and ``if``/``then``, and the types
+``object``, ``array``, ``string``, ``number`` and ``integer``;
+``$schema`` and ``title`` are annotations.  Any other keyword or type
+raises ``ValueError``.  Its reasons use jsonschema's wording, with each
+value or key from the document cut to a fixed length, so an error stays
+one short line.
 
 Each call compiles the schema into nested closures, one per keyword
 that tests a node, so the keyword dispatch runs once per schema node
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import re
 
-from .algorithms import FAMILIES, MAX_K
+from .algorithms import FAMILIES, MAX_DISTRIBUTIONS, MAX_K
 from .decisions import ATTITUDES
 from .errors import brief
 from .spaces import MODES
@@ -124,6 +125,7 @@ GENERATE_SCHEMA = {
         "distributions": {
             "type": "array",
             "minItems": 1,
+            "maxItems": MAX_DISTRIBUTIONS,
             "items": {
                 "type": "object",
                 "required": ["family", "mu"],
@@ -203,6 +205,12 @@ def _keyword_test(keyword: str, rule, schema: dict):
 
         def test(value):
             if isinstance(value, kind) and len(value) < rule:
+                return [f"{brief(repr(value))} {verdict}"]
+    elif keyword == "maxItems":
+        verdict = "is expected to be empty" if rule == 0 else "is too long"
+
+        def test(value):
+            if isinstance(value, list) and len(value) > rule:
                 return [f"{brief(repr(value))} {verdict}"]
     elif keyword == "uniqueItems":
         if not rule:

@@ -18,7 +18,7 @@ from gutheory import (
 )
 from gutheory import _replay
 from gutheory._ziggurat import KE, KI, WE, WI
-from gutheory.algorithms import FAMILIES, MAX_DRAWS, MAX_K
+from gutheory.algorithms import FAMILIES, MAX_DISTRIBUTIONS, MAX_DRAWS, MAX_K
 
 
 def numpy_sample(spec, rng):
@@ -263,6 +263,11 @@ class TestGenerateSequence:
         specs = [DistributionSpec("normal", 0.0, 1.0)] * 4
         with pytest.raises(ConfigurationError, match=f"at most {MAX_DRAWS}"):
             generate_sequence(specs, MAX_DRAWS // 4 + 1)
+
+    def test_distributions_above_ceiling_is_configuration_error(self):
+        specs = [DistributionSpec("exponential", 1.0)] * (MAX_DISTRIBUTIONS + 1)
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_DISTRIBUTIONS}, got"):
+            generate_sequence(specs, 1)
 
     def test_negative_seed_is_configuration_error(self):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -7,6 +7,8 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import jsonschema
@@ -21,7 +23,7 @@ from gutheory import (
     generate_sequence,
     report_to_dict,
 )
-from gutheory.algorithms import MAX_DRAWS, MAX_K
+from gutheory.algorithms import MAX_DISTRIBUTIONS, MAX_DRAWS, MAX_K
 from gutheory.cli import main
 
 PROBLEM = {
@@ -430,6 +432,49 @@ class TestGenerate:
             "error: k times the number of distributions must be at most "
             f"{MAX_DRAWS}, got {MAX_K} * 4\n"
         )
+
+    def test_distributions_up_to_the_cap(self, capsys):
+        normal = {"family": "normal", "mu": 0, "sigma2": 1}
+        document = {"k": 1, "distributions": [normal] * MAX_DISTRIBUTIONS}
+        code, out, err = run(
+            capsys, "generate", "--input", json.dumps(document), "--format", "json"
+        )
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["elements"]) == 1
+        document["distributions"].append(normal)
+        code, out, err = run(capsys, "generate", "--input", json.dumps(document))
+        assert code == 2 and out == ""
+        assert err.startswith("error: input does not match the schema at $.distributions: [{")
+        assert err.endswith("... is too long\n") and err.count("\n") == 1
+        assert len(err.encode()) <= 300
+
+    @pytest.mark.parametrize(
+        "families, bound",
+        [(["normal"] * 3, 60), (["normal", "uniform", "exponential"], 72)],
+        ids=["one-family", "mixed"],
+    )
+    def test_elements_cost_few_bytes_each(self, families, bound):
+        # The candidate block takes 24 bytes an element for three normals,
+        # the mixed word block about 26.  Holding the elements as Python
+        # floats would add 32 more in a list and 8 in a tuple copy.
+        specs = {
+            "normal": {"family": "normal", "mu": 0, "sigma2": 1},
+            "uniform": {"family": "uniform", "mu": 0.5, "sigma2": 0.08},
+            "exponential": {"family": "exponential", "mu": 1},
+        }
+        document = {"k": 100_000, "distributions": [specs[f] for f in families]}
+        args = Namespace(seed=None, format="json")
+        # numpy and the replay are imported before the count starts.
+        cli._run_generate(dict(document, k=1), args)
+        tracemalloc.start()
+        try:
+            text, _ = cli._run_generate(document, args)
+            for _ in text:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / document["k"] < bound
 
     def test_negative_seed_flag_domain_error(self, capsys):
         code, out, err = run(

@@ -147,6 +147,8 @@ def _changed(parts):
         ({"enum": [1]}, True),
         ({"enum": [1]}, 1.0),
         ({"enum": [True]}, 1),
+        ({"maxItems": 0}, []),
+        ({"maxItems": 1}, "ab"),
         (
             GENERATE_SCHEMA,
             {"k": MAX_K, "distributions": [{"family": "exponential", "mu": 1}]},
@@ -156,6 +158,20 @@ def _changed(parts):
 def test_traps_agree_with_jsonschema(schema, value):
     expected = jsonschema.Draft202012Validator(schema).is_valid(value)
     assert (first_violation(value, schema) is None) == expected
+
+
+@pytest.mark.parametrize(
+    "schema, value",
+    [
+        ({"minItems": 1}, []),
+        ({"minItems": 2}, [1]),
+        ({"maxItems": 0}, [None]),
+        ({"maxItems": 1}, [1, 2]),
+    ],
+)
+def test_item_counts_use_jsonschema_wording(schema, value):
+    (error,) = jsonschema.Draft202012Validator(schema).iter_errors(value)
+    assert first_violation(value, schema) == ("$", error.message)
 
 
 @pytest.mark.parametrize("command", sorted(INPUTS))

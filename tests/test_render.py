@@ -7,11 +7,12 @@ kept here as the reference.
 
 import json
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gutheory.cli import _SLICE, _as_json
+from gutheory.cli import _SLICE, _as_json, _json_pieces
 
 
 def _round12(obj):
@@ -134,3 +135,20 @@ def test_text_lists_with_another_member(other, container):
     a flat text list, though its first member says so."""
     payload = {"mixed": container(["Equal", "aé", other, "Equal"])}
     assert _as_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [(-1) ** i * (i + 0.1) / 7 for i in range(n)]
+        for n in (_SLICE - 1, _SLICE, _SLICE + 1)
+    ]
+    + [[], [-0.0, 0.0, 3.0, -2.0, 1e16, -1e16, 1e-5, -1e-5, 5e-324, -5e-324]],
+    ids=["slice-1", "slice", "slice+1", "empty", "edges"],
+)
+def test_memoryview_prints_as_its_list(xs):
+    """``generate`` hands the writer its elements as a buffer of doubles."""
+    for payload, view in ((xs, memoryview(array("d", xs))),
+                          ({"elements": xs}, {"elements": memoryview(array("d", xs))})):
+        assert list(_json_pieces(view)) == list(_json_pieces(payload))
+        assert _as_json(view) == _as_json(payload) == reference(payload)

@@ -59,7 +59,7 @@ COPIED = {
 CHECKED = {
     "type", "enum", "minimum", "maximum", "minLength",
     "required", "properties", "additionalProperties",
-    "items", "prefixItems", "minItems", "uniqueItems", "if", "then",
+    "items", "prefixItems", "minItems", "maxItems", "uniqueItems", "if", "then",
 }
 ANNOTATIONS = {"$schema", "title"}
 TYPES = {"object", "array", "string", "number", "integer"}
