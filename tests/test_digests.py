@@ -7,9 +7,10 @@ before the JSON writer replaced ``json.dumps`` (the stage-2 ``weak`` ones
 before ``decide`` stopped building the relation matrix), and the table-format ones
 of ``cluster``, ``generate`` and ``validate`` before stdout was written as
 UTF-8 whatever the locale, the long mixed-family ``generate`` ones
-before mixed candidates were replayed from a block of PCG64 words, and the
+before mixed candidates were replayed from a block of PCG64 words, the
 all-ASCII ``decide`` table one before ASCII rows lost their own width
-rule; a change to the draw order, the arithmetic, the render or the write
+rule, and the long one-family ``generate`` ones before one family's
+candidates were drawn in chunks; a change to the draw order, the arithmetic, the render or the write
 shows here as a digest mismatch.
 """
 
@@ -115,6 +116,69 @@ def test_generate_long_mixed_digest(capsys, case, fmt):
         capsys, LONG_MIXED_CASES[case], fmt, k=LONG_MIXED_K, seeds=LONG_MIXED_SEEDS
     )
     assert digest == LONG_MIXED_DIGESTS[f"{fmt}-{case}"]
+
+
+# One family over sequences long enough that the candidate block spans many
+# chunks of draws, and one mixture wider than a chunk, so that a chunk holds
+# a single row.
+LONG_ONE_FAMILY_K = 20_000
+LONG_ONE_FAMILY_SEEDS = range(3)
+SEVEN = {
+    "normal": NORMALS + [
+        {"family": "normal", "mu": 42, "sigma2": 9},
+        {"family": "normal", "mu": -1e-3, "sigma2": 1e-8},
+        {"family": "normal", "mu": 7.5, "sigma2": 0.01},
+        {"family": "normal", "mu": -250, "sigma2": 100},
+    ],
+    "uniform": UNIFORMS + [
+        {"family": "uniform", "mu": 3, "sigma2": 0.75},
+        {"family": "uniform", "mu": -1e5, "sigma2": 1e6},
+        {"family": "uniform", "mu": 0, "sigma2": 1},
+        {"family": "uniform", "mu": 64.25, "sigma2": 2.5},
+    ],
+    "exponential": EXPONENTIALS + [
+        {"family": "exponential", "mu": 3},
+        {"family": "exponential", "mu": 1e-4},
+        {"family": "exponential", "mu": 0.5},
+        {"family": "exponential", "mu": 1e5},
+    ],
+}
+LONG_ONE_FAMILY_CASES = {
+    f"{family}-{n}": (specs[:n], LONG_ONE_FAMILY_K)
+    for family, specs in SEVEN.items()
+    for n in (1, 3, 7)
+}
+LONG_ONE_FAMILY_CASES["normal-20000"] = ([NORMALS[j % 3] for j in range(20_000)], 2)
+LONG_ONE_FAMILY_DIGESTS = {
+    "json-exponential-1": "0a4ed04c4cd21c3aaaf898c70b812edc2753f851784a5df67503683206f7b986",
+    "json-exponential-3": "5e468033c81bd60c6d5143289e096c82009967e4b825274fe67ab7b1a42189ca",
+    "json-exponential-7": "2336a0e226ce746b44a799476b1a3b2ebd89db7b56b6b224a14ecd5cbf3465c5",
+    "json-normal-1": "db0c465fbb31ec51fd845e909f9975e038e90c7854db32e56fcce9ad26726a24",
+    "json-normal-20000": "7c6bab27718cfb68fb025805b4d3e403ea59ade55e88e51436132d0b68d19bf7",
+    "json-normal-3": "76b9c3e5a12a090795add4cdfd1b9dd07255545a9731a518751f21ba99845596",
+    "json-normal-7": "15facb40d49542cb04f8ba3162476e05ac2184be692bd749fbcbf3caccef5067",
+    "json-uniform-1": "b3a1e95cef9fd03378c0a8b185a65f9f3712cbca7001b14b1225a3a36d979a6e",
+    "json-uniform-3": "60fd5ef11e272b4a4e8764bed2c5fbc40efa2885e11e9dd3e2a3277648beb956",
+    "json-uniform-7": "ed94b73a5f6e8114daa264308faea0f6bee8be467317a2d6d978709b60076d3a",
+    "table-exponential-1": "3c2f7ce6dc59449679aa55b8a79f62263d284c74689a31b949d6c37d76c6f055",
+    "table-exponential-3": "11345e42481bc3341f4d90070e4173d269bc626dd2b9923d74cf105edc0a3922",
+    "table-exponential-7": "716f1de37ed141a6e865c22d0b7f99309b09a1dc15e363b3de82f4f73c6aa314",
+    "table-normal-1": "31cbc53cbd0af5285744875cdc1dc55c9eecad2323887adfb4879eb6002bbda5",
+    "table-normal-20000": "622298e4d6f150255979699fbdbd45f569900333b201aba282713d5124d4ce8e",
+    "table-normal-3": "38d3ef09f0b2711a2a8e53733b3670d965c5683cc4611439e86969f351599f07",
+    "table-normal-7": "e70561e3ce0b7e6485381eb5fd7af41ccd02e34c0c33e9fad0aed00e01a5032b",
+    "table-uniform-1": "5bbc503d09c4753802ba9cda9b9ee0c3427bed8483ec7d9f45b9dcf061c08dfd",
+    "table-uniform-3": "8e9ac9e7f9398855cbdb19334bc26f87b5598426d2dab37ba348df717570e6ab",
+    "table-uniform-7": "b405e7a1e3dfa4619e051865ba7001574d159c0be9c9a077e5f6ea34563a516e",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("case", sorted(LONG_ONE_FAMILY_CASES))
+def test_generate_long_one_family_digest(capsys, case, fmt):
+    distributions, k = LONG_ONE_FAMILY_CASES[case]
+    digest = generate_digest(capsys, distributions, fmt, k=k, seeds=LONG_ONE_FAMILY_SEEDS)
+    assert digest == LONG_ONE_FAMILY_DIGESTS[f"{fmt}-{case}"]
 
 
 # ---------------------------------------------------------------------------
