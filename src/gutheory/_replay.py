@@ -16,13 +16,10 @@ from bisect import bisect_left
 import numpy as np
 
 from ._ziggurat import KE, KI, WE, WI
-from .algorithms import STANDARD
+from .algorithms import _CHUNK, STANDARD
 
 #: Spare words drawn per candidate for the extra words of slow draws.
 _SPARE = 1 / 16
-
-#: Words tested for the one-word path at a time, which bounds the memory used.
-_CHUNK = 1 << 14
 
 #: PCG64 steps its 128-bit state to ``state * _PCG64_MULTIPLIER + inc``.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645

@@ -4,9 +4,11 @@ Randomness comes from NumPy's ``default_rng`` (PCG64), which only
 :func:`generate_sequence` imports.  Its draw order is part of the contract:
 identical seeds give identical sequences across runs and platforms.
 
-One family draws all its candidates in one block call.  Mixed families
-replay the scalar draws from a block of PCG64's raw 64-bit words, in
-``_replay.py``, which only that path imports.
+One family draws its candidates in block calls of a fixed size, twice:
+once to move the generator on to the picks, once from a copy of its start
+state to keep each row's picked draw.  Mixed families replay the scalar
+draws from a block of PCG64's raw 64-bit words, in ``_replay.py``, which
+only that path imports.
 """
 
 from __future__ import annotations
@@ -33,19 +35,24 @@ STANDARD = {
 
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three distributions, ``gut generate --format json`` peaks at about
-#: 80 MB of resident memory for one family and 96 MB for mixed families:
+#: 51 MB of resident memory for one family and 96 MB for mixed families:
 #: the elements stay in one float64 array until they are written.
 MAX_K = 1_000_000
 
 #: The most candidate draws (``k`` times the number of distributions) that
-#: ``generate_sequence`` makes; memory grows with this product: one family
-#: holds a float per candidate, mixed families a 64-bit word per candidate.
+#: ``generate_sequence`` makes.  Time grows with this product, and so does
+#: the memory of mixed families, which hold a 64-bit word per candidate;
+#: one family draws its candidates a chunk at a time.
 MAX_DRAWS = 3 * MAX_K
 
 #: The most distributions ``generate_sequence`` draws from.  Each costs
 #: about 0.5 KB as a parsed document and a spec, so at ``k`` = 1 this many
-#: peak at about 80 MB, as three normals do at ``MAX_K``.
+#: peak at about 80 MB, under the 96 MB of mixed families at ``MAX_K``.
 MAX_DISTRIBUTIONS = 85_000
+
+#: The draws, raw words or elements ``generate_sequence`` handles per call,
+#: which bounds the memory its temporaries take.
+_CHUNK = 1 << 14
 
 
 class DistributionSpec(_Frozen):
@@ -195,21 +202,37 @@ def _draw(specs: Sequence[DistributionSpec], k: int, seed: int):
     offsets, factors = np.array([spec.affine for spec in specs]).T
     family = specs[0].family
     if all(spec.family == family for spec in specs):
-        # One family: draw the k x n block of standard draws in one call,
-        # in the same row-major order as the scalar draws, and keep each
-        # row's picked draw.
-        block = getattr(rng, STANDARD[family])((k, n))
+        # One family: the k x n standard draws come in the same row-major
+        # order as the scalar draws, a chunk of rows per call; numpy's
+        # samplers fill C order and keep nothing between calls.  The first
+        # pass only moves rng on to the picks; the second draws the same
+        # chunks from a copy of the start state and keeps each row's pick.
+        rows = max(1, _CHUNK // n)
+        block = np.empty((min(rows, k), n))
+        start = rng.bit_generator.state
+        sample = getattr(rng, STANDARD[family])
+        for low in range(0, k, rows):
+            sample(out=block[:k - low])
         picks = rng.integers(0, n, size=k)
-        kept = block[np.arange(k), picks]
-        del block
+        source = np.random.PCG64()
+        source.state = start
+        sample = getattr(np.random.Generator(source), STANDARD[family])
+        kept = np.empty(k)
+        for low in range(0, k, rows):
+            chunk = sample(out=block[:k - low])
+            kept[low:low + rows] = chunk[np.arange(len(chunk)), picks[low:low + rows]]
+        del block, chunk  # let go before the tail builds its temporaries
     else:
         from ._replay import replay_mixed
 
         picks, kept = replay_mixed(rng, [spec.family for spec in specs], k)
-    # Each kept draw x becomes x * factor + offset of its spec, in two roundings.
+    # Each kept draw x becomes x * factor + offset of its spec, in two
+    # roundings, a chunk at a time so that no k-long temporary is built.
     with np.errstate(over="ignore", invalid="ignore"):
-        kept *= factors[picks]
-        kept += offsets[picks]
+        for low in range(0, k, _CHUNK):
+            chosen = picks[low:low + _CHUNK]
+            kept[low:low + _CHUNK] *= factors[chosen]
+            kept[low:low + _CHUNK] += offsets[chosen]
     # Overflows are inf here.
     beyond = np.flatnonzero(~np.isfinite(kept))
     if len(beyond):

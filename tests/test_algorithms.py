@@ -16,7 +16,7 @@ from gutheory import (
     classify,
     generate_sequence,
 )
-from gutheory import _replay
+from gutheory import _replay, algorithms
 from gutheory._ziggurat import KE, KI, WE, WI
 from gutheory.algorithms import FAMILIES, MAX_DISTRIBUTIONS, MAX_DRAWS, MAX_K
 
@@ -235,6 +235,19 @@ class TestGenerateSequence:
         for seed in range(5):
             assert generate_sequence(specs, 2000, seed=seed).elements == replay(specs, 2000, seed)
         assert len(joins) > 5
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 97])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_family_path_matches_replay_across_chunk_edges(self, monkeypatch, chunk, family):
+        # k around the rows a chunk holds puts the last chunk's edge just
+        # before, on and after the last row; at n > chunk a chunk is one row.
+        monkeypatch.setattr(algorithms, "_CHUNK", chunk)
+        for n in (1, 3, 7, 20):
+            specs = [ONE_FAMILY[family][j % 3] for j in range(n)]
+            rows = max(1, chunk // n)
+            for k in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows} - {0}):
+                for seed in range(2):
+                    assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
 
     def test_mixture_membership(self):
         # far-apart uniforms: every element must land in one support

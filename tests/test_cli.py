@@ -450,12 +450,14 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "families, bound",
-        [(["normal"] * 3, 60), (["normal", "uniform", "exponential"], 72)],
+        [(["normal"] * 3, 28), (["normal", "uniform", "exponential"], 72)],
         ids=["one-family", "mixed"],
     )
     def test_elements_cost_few_bytes_each(self, families, bound):
-        # The candidate block takes 24 bytes an element for three normals,
-        # the mixed word block about 26.  Holding the elements as Python
+        # One family holds about 18 bytes an element: the kept draws and
+        # the picks, 8 each, and the finite check's masks; its candidates
+        # are drawn a chunk at a time.  Mixed families read about 65, most
+        # of it the replay's block of words.  Holding the elements as Python
         # floats would add 32 more in a list and 8 in a tuple copy.
         specs = {
             "normal": {"family": "normal", "mu": 0, "sigma2": 1},
