@@ -3,11 +3,11 @@ numpy's scalar draws, replayed from a block of PCG64's raw 64-bit words.
 
 A uniform draw takes one word; numpy's normal and exponential samplers,
 Marsaglia and Tsang's ziggurats, take one word for about 99% of draws and
-compute the draw from it with the tables in ``_ziggurat.py``.  Rows of
-candidates whose draws all take one word are computed from their words in
-bulk; a row with a slower draw is drawn again with the scalar calls, and
-the words it took are read off the generator's state.  Only this path
-imports this module and the tables.
+compute the draw from it with the tables in ``_ziggurat.py``.  Such draws
+are computed from their words in bulk.  A draw leaves that path only at
+its own first word: it is drawn again with one scalar call, the words it
+took are read off the generator's state, and every later draw shifts by
+its extra words.  Only this path imports this module and the tables.
 """
 
 import math
@@ -52,44 +52,38 @@ def replay_mixed(rng, families: list[str], k: int):
     bitgen = rng.bit_generator
     start = bitgen.state
     inc = start["state"]["inc"]
-    # n steps, the fewest a row takes, map a state s to row_a * s + row_c.
-    row_a, row_c, m, d, count = 1, 0, _PCG64_MULTIPLIER, inc, n
-    while count:
-        if count & 1:
-            row_a, row_c = row_a * m % 2**128, (row_c * m + d) % 2**128
-        m, d, count = m * m % 2**128, (m * d + d) % 2**128, count >> 1
     # The block of words comes from a copy, so that bitgen only moves on.
     source = np.random.PCG64()
     source.state = start
     words = np.empty(0, np.uint64)
     slow_at, slow_codes = [], []  # the slow words' positions and codes
-    slow = {}  # row -> the standard draws of its candidates
-    extra = np.zeros(k + 1, np.int64)  # extra[j]: words row j - 1 took beyond n
-    at = shift = i = j = 0  # bitgen's words, and the rows' beyond n each
+    slow = []  # (row, slot, extra words, standard draw) of each slow draw
+    at = shift = i = 0  # bitgen's words, and the draws' beyond one each
     while True:
-        # Row j starts at word n * j + shift; find the first slow word from
-        # there that is read by a draw of the family it slows.
-        i = bisect_left(slow_at, n * j + shift, i)
+        # Candidate c starts at word c + shift; find the first slow word
+        # from bitgen's word on that is read by a draw of the family it slows.
+        i = bisect_left(slow_at, at, i)
         while i < len(slow_at) and not slow_codes[i] & slot_bits[(slow_at[i] - shift) % n]:
             i += 1
-        if i < len(slow_at) and (slow_at[i] - shift) // n < k:
-            # The rows from j up to this one are fast: draw this one again.
-            j = (slow_at[i] - shift) // n
-            bitgen.advance(n * j + shift - at)
+        if i < len(slow_at) and slow_at[i] - shift < n * k:
+            # Draw it again, and count its words off bitgen's state.
+            row, slot = divmod(slow_at[i] - shift, n)
+            bitgen.advance(slow_at[i] - at)
             state = bitgen.state["state"]["state"]
-            slow[j] = np.array([draw[family]() for family in families])
+            value = draw[families[slot]]()
             after = bitgen.state["state"]["state"]
-            state, at = (state * row_a + row_c) % 2**128, n * (j + 1) + shift
+            at = slow_at[i]
             while state != after:
                 state, at = (state * _PCG64_MULTIPLIER + inc) % 2**128, at + 1
-            j += 1
-            extra[j] = at - n * j - shift
-            shift = at - n * j
+            beyond = at - slow_at[i] - 1
+            slow.append((row, slot, beyond, value))
+            shift += beyond
         elif n * k + shift <= len(words):
             break
         else:
-            # Draw the words of the rows left, and spares.
-            more = source.random_raw(n * k + shift - len(words) + math.ceil(n * (k - j) * _SPARE))
+            # Draw the words of the candidates left, and spares.
+            spare = math.ceil((n * k + shift - at) * _SPARE)
+            more = source.random_raw(n * k + shift - len(words) + spare)
             codes = np.zeros(len(more), np.uint8)
             for low in range(0, len(more), _CHUNK):
                 for family in tables.keys() & set(families):
@@ -102,8 +96,12 @@ def replay_mixed(rng, families: list[str], k: int):
             del more, codes  # so that the block is let go below
     bitgen.advance(n * k + shift - at)
     picks = rng.integers(0, n, size=k)
-    # Each row's picked word, at n * j + extra[0] + ... + extra[j] + picks[j],
-    # with the index built in place in extra; the block is let go.
+    # Each row's picked word, at n * j + picks[j] plus the extra words of
+    # the slow draws before it, through an index built in place in k + 1
+    # counts; the block is let go.
+    extra = np.zeros(k + 1, np.int64)
+    for row, slot, beyond, _ in slow:
+        extra[row + (slot >= picks[row])] += beyond
     index = np.cumsum(extra[:k], out=extra[:k])
     index += picks
     index += np.arange(0, n * k, n)
@@ -119,6 +117,7 @@ def replay_mixed(rng, families: list[str], k: int):
         if family == "normal":
             np.negative(draws, out=draws, where=(word >> np.uint64(8)) & np.uint64(1) == 1)
         kept[chosen] = draws
-    for j, candidates in slow.items():
-        kept[j] = candidates[picks[j]]
+    for row, slot, _, value in slow:
+        if slot == picks[row]:
+            kept[row] = value
     return picks, kept

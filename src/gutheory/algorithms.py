@@ -47,7 +47,8 @@ MAX_DRAWS = 3 * MAX_K
 
 #: The most distributions ``generate_sequence`` draws from.  Each costs
 #: about 0.5 KB as a parsed document and a spec, so at ``k`` = 1 this many
-#: peak at about 80 MB, under the 96 MB of mixed families at ``MAX_K``.
+#: peak at about 79 MB, under the 95 MB of mixed families at ``MAX_K``;
+#: mixed at ``k`` = 35, the longest ``MAX_DRAWS`` allows, they peak at 111 MB.
 MAX_DISTRIBUTIONS = 85_000
 
 #: The draws, raw words or elements ``generate_sequence`` handles per call,

@@ -206,20 +206,53 @@ class TestGenerateSequence:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        families=st.lists(st.sampled_from(FAMILIES), min_size=2, max_size=5).filter(
+        families=st.lists(st.sampled_from(FAMILIES), min_size=2, max_size=40).filter(
             lambda families: len(set(families)) > 1
         ),
-        k=st.integers(1000, 3000),
+        k=st.integers(400, 1600),
         seed=st.integers(0, 2**32),
     )
     def test_long_mixed_sequence_equals_numpy_replay(self, families, k, seed):
-        # long enough for rows whose normal or exponential draw takes more
-        # than one word, which the mixed path draws again
+        # long enough for normal or exponential draws that take more than
+        # one word, which the mixed path draws again; wide rows hold several,
+        # before, on and after their picks
         specs = [MIXED[family] for family in families]
         assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_path_draws_each_slow_draw_once(self, seed):
+        # One scalar call for each draw that takes more than one word, which
+        # a reference counts off the state: it moved by more than one step.
+        families = [FAMILIES[j % 3] for j in range(35)]
+        k = 300
+        reference = np.random.default_rng(seed)
+        slow = 0
+        for _ in range(k):
+            for family in families:
+                one_step = np.random.PCG64()
+                one_step.state = reference.bit_generator.state
+                one_step.advance(1)
+                getattr(reference, algorithms.STANDARD[family])()
+                slow += reference.bit_generator.state != one_step.state
+        calls = []
+
+        class Counted(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                calls.append("normal")
+                return super().standard_normal(*args, **kwargs)
+
+            def standard_exponential(self, *args, **kwargs):
+                calls.append("exponential")
+                return super().standard_exponential(*args, **kwargs)
+
+        _, kept = _replay.replay_mixed(Counted(np.random.PCG64(seed)), families, k)
+        assert slow > 0
+        assert len(calls) == slow
+        specs = [ONE_FAMILY[family][0] for family in families]  # the standard laws
+        assert tuple(kept.tolist()) == replay(specs, k, seed)
+
     def test_mixed_path_draws_more_words_when_the_spares_run_out(self, monkeypatch):
-        # With no spare words, the first slow row pushes the last row past
+        # With no spare words, the first slow draw pushes the last row past
         # the block; small chunks put chunk edges inside the rows too.
         monkeypatch.setattr(_replay, "_SPARE", 0.0)
         monkeypatch.setattr(_replay, "_CHUNK", 97)
