@@ -32,16 +32,16 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .algorithms import DistributionSpec, _draw, classify
 from .decisions import (
     ATTITUDES,
     DecisionProblem,
+    _report_dict,
     decide,
     render_decision_table,
-    report_to_dict,
 )
 from .errors import GutError, IntervalError, ValidationError, brief
 from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
@@ -118,16 +118,26 @@ _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(values) -> list[str]:
-    """Each float rounded to 12 significant digits, spelled as ``json``
-    spells the rounded float.  A ``.12g`` text with a point and no exponent
-    already is that spelling: 12 digits survive the trip through a double,
-    and ``repr`` uses fixed notation wherever ``.12g`` does."""
-    texts = [f"{x:.12g}" for x in values]
+def _float_texts(texts: list[str]) -> list[str]:
+    """Each ``.12g`` text of a float spelled as ``json`` spells the float's
+    12-digit rounding.  A text with a point and no exponent already is that
+    spelling: 12 digits survive the trip through a double, and ``repr``
+    uses fixed notation wherever ``.12g`` does."""
     return [
         t if "." in t and "e" not in t else _FLOAT_WORDS.get(t) or float.__repr__(float(t))
         for t in texts
     ]
+
+
+def _join_floats(part, sep: str) -> str:
+    """The JSON texts of the floats of ``part`` joined by ``sep``.  One
+    ``%`` call formats the whole slice in C.  When every text has a point
+    and none an exponent, the joined text is already JSON; otherwise each
+    text is spelled again only where :func:`_float_texts` must."""
+    text = sep.join(["%.12g"] * len(part)) % tuple(part)
+    if text.count(".") != len(part) or "e" in text:
+        text = sep.join(_float_texts(text.split(sep)))
+    return text
 
 
 #: Elements of a flat list formatted per piece of stdout.
@@ -156,7 +166,7 @@ def _flat_joiner(values):
     # A memoryview holds doubles, as generate's elements do: none to scan.
     kinds = {float} if isinstance(values, memoryview) else set(map(type, values))
     if kinds == {float}:
-        return lambda part, sep: sep.join(_float_texts(part))
+        return _join_floats
     if kinds == {int}:
         return lambda part, sep: sep.join(map(int.__repr__, part))
     return None
@@ -164,12 +174,15 @@ def _flat_joiner(values):
 
 def _json_pieces(obj, pad: str = ""):
     """``obj`` as ``json.dumps(..., indent=2)`` prints it once every float is
-    rounded to 12 significant digits; tuples and memoryviews of doubles
-    print as lists.  ``pad`` is the indent of the line ``obj`` starts on.
-    The text comes in pieces: one per member of a container, or more for a
-    large member, and one per ``_SLICE`` elements of a flat list, so a
-    caller can write a large report without holding all of it."""
-    if isinstance(obj, (dict, list, tuple, memoryview)) and obj:
+    rounded to 12 significant digits; tuples, memoryviews of doubles and
+    iterators print as lists.  ``pad`` is the indent of the line ``obj``
+    starts on.  The text comes in pieces: one per member of a container, or
+    more for a large member, and one per ``_SLICE`` elements of a flat
+    list, so a caller can write a large report without holding all of it.
+    An iterator's members are read one at a time, as its pieces are, so a
+    caller that hands over a generator of rows never holds them all; an
+    empty iterator prints ``[]``."""
+    if isinstance(obj, Iterator) or isinstance(obj, (dict, list, tuple, memoryview)) and obj:
         inner = pad + "  "
         sep = ",\n" + inner
         if isinstance(obj, dict):
@@ -181,7 +194,7 @@ def _json_pieces(obj, pad: str = ""):
                 opening = sep
             yield f"\n{pad}}}"
             return
-        join = _flat_joiner(obj)
+        join = None if isinstance(obj, Iterator) else _flat_joiner(obj)
         if join is None:
             opening = "[\n" + inner
             for value in obj:
@@ -189,7 +202,8 @@ def _json_pieces(obj, pad: str = ""):
                 yield opening + next(pieces)
                 yield from pieces
                 opening = sep
-            yield f"\n{pad}]"
+            # Only an iterator can turn out to be empty here.
+            yield f"\n{pad}]" if opening is sep else "[]"
             return
         for start in range(0, len(obj), _SLICE):
             opening = sep if start else "[\n" + inner
@@ -198,7 +212,7 @@ def _json_pieces(obj, pad: str = ""):
     elif isinstance(obj, str):
         yield _encode_str(obj)
     elif isinstance(obj, float):
-        yield _float_texts((obj,))[0]
+        yield _float_texts(["%.12g" % obj])[0]
     elif obj is None:
         yield "null"
     elif obj is True:
@@ -223,7 +237,9 @@ def _as_json(obj) -> str:
 # stdout is one string or an iterable of pieces of text, which ``main``
 # writes in whole multiples of ``_BLOCK`` characters.  A handler does all
 # its domain work before it returns, and the pieces only format its
-# results, so a GutError still leaves stdout empty.
+# results, so a GutError still leaves stdout empty.  The JSON ``decide``
+# report reads its relation rows as they are written, once
+# ``_relation_rows`` has checked the GEUs and the tolerance.
 
 
 def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
@@ -232,7 +248,7 @@ def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str]
     )
     report = decide(problem)
     if args.format == "json":
-        return _json_pieces(report_to_dict(report)), None
+        return _json_pieces(_report_dict(report, iter)), None
     return render_decision_table(problem, report), None
 
 
@@ -263,10 +279,8 @@ def _run_generate(document: dict, args: argparse.Namespace) -> tuple[Iterable[st
     payload = {"seed": seed, "k": k, "generator": "pcg64", "elements": elements}
     if args.format == "json":
         return _json_pieces(payload), None
-    body = (
-        "".join(f"\n{x:.12g}" for x in elements[start:start + _SLICE])
-        for start in range(0, len(elements), _SLICE)
-    )
+    slices = (elements[start:start + _SLICE] for start in range(0, len(elements), _SLICE))
+    body = (("\n%.12g" * len(part)) % tuple(part) for part in slices)
     return chain([f"seed: {seed}\nk: {k}\ngenerator: pcg64"], body), None
 
 

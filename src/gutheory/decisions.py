@@ -35,8 +35,9 @@ test a row makes holds on a suffix, so bisection splits each sorted side
 into four regions, and a 16-entry table maps each pair of regions to the
 relation ``_classify`` gives there.  A row costs six bisections and a few
 whole-row operations in C, with no call per cell.  The JSON report reads
-the rows as relation texts, and ``DecisionReport.relations`` builds them
-as ``Relation`` members on first read; the table never builds them.
+the rows as relation texts (``gut`` one row at a time, as it prints them),
+and ``DecisionReport.relations`` builds them as ``Relation`` members on
+first read; the table never builds them.
 
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum, unique
 from itertools import accumulate
 from operator import itemgetter
@@ -287,9 +288,11 @@ def _ranks(values: list[float]) -> list[int]:
     return ranks
 
 
-def _relation_rows(geus: Sequence[GUInterval], tol: float, table: tuple):
-    """Yield the rows of the relation matrix in input order, each cell read
-    off ``table``, a 16-entry table laid out as :data:`_RELATIONS` is.
+def _relation_rows(geus: Sequence[GUInterval], tol: float, table: tuple) -> Iterator[tuple]:
+    """Check each GEU and ``tol`` now, and return an iterator over the rows
+    of the relation matrix in input order, each cell read off ``table``, a
+    16-entry table laid out as :data:`_RELATIONS` is.  Each row is built
+    only when it is read, so a reader that lets each row go holds one.
 
     A row ``[a, b]`` meets a column ``[x, y]`` through six endpoint tests,
     three on the column's left endpoint and three on its right::
@@ -316,14 +319,14 @@ def _relation_rows(geus: Sequence[GUInterval], tol: float, table: tuple):
     if m < 2:
         # itemgetter of one index returns a scalar, and of none raises.  A
         # lone GEU is Equal to itself: left region 1, right region 2.
-        yield from ((table[6],) for _ in geus)
-        return
+        return ((table[6],) for _ in geus)
     lefts = [g.left for g in geus]
     rights = [g.right for g in geus]
     # Gathering a sorted row at the ranks puts it in input order.
     gather_left, gather_right = itemgetter(*_ranks(lefts)), itemgetter(*_ranks(rights))
     xs, ys = sorted(lefts), sorted(rights)
-    for a, b in zip(lefts, rights):
+
+    def row(a: float, b: float) -> tuple:
         i1 = bisect_left(xs, True, key=lambda x: a - x <= tol)
         i2 = bisect_left(xs, True, i1, key=lambda x: x - a > tol)
         i3 = bisect_left(xs, True, i2, key=lambda x: x - b > tol)
@@ -335,7 +338,9 @@ def _relation_rows(geus: Sequence[GUInterval], tol: float, table: tuple):
         codes = (
             int.from_bytes(gather_left(left), "big") + int.from_bytes(gather_right(right), "big")
         ).to_bytes(m, "big")
-        yield itemgetter(*codes)(table)
+        return itemgetter(*codes)(table)
+
+    return map(row, lefts, rights)
 
 
 #: The relation for each code ``4 * left region + right region``, read off
@@ -504,11 +509,20 @@ def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> s
 
 
 def report_to_dict(report: DecisionReport) -> dict:
-    """JSON-ready view of a report, stable key order."""
+    """JSON-ready view of a report, stable key order.  ``relations`` is a
+    list of the relation matrix's rows, each a tuple of relation texts."""
+    return _report_dict(report, list)
+
+
+def _report_dict(report: DecisionReport, rows) -> dict:
+    """The view :func:`report_to_dict` returns, except that ``relations``
+    is ``rows`` applied to an iterator over the relation rows: ``list``
+    holds them all, and ``iter`` hands each to the reader as it is built,
+    so that a writer holds one row of the m * m cells at a time."""
     return {
         "schemes": list(report.scheme_names),
         "geus": [[iv.left, iv.right] for iv in report.geus],
-        "relations": list(_relation_rows(report.geus, report.tolerance, _RELATION_VALUES)),
+        "relations": rows(_relation_rows(report.geus, report.tolerance, _RELATION_VALUES)),
         "comparisons": [
             None
             if entry is None

@@ -113,6 +113,28 @@ class TestDecide:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_relation_cells_cost_few_bytes_each(self):
+        # The CI step's nested layout: every scheme survives to stage 3 and
+        # the report prints all m * m relation cells.  The writer reads the
+        # rows one at a time, well under a byte a cell; holding them as a
+        # list of rows cost one 8-byte reference per cell.
+        m = 1600
+        document = {
+            "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
+            "schemes": [{"name": f"S{i}", "payoffs": [i, 100000 - 0.6 * i]} for i in range(m)],
+            "attitude": "averse",
+        }
+        args = Namespace(attitude=None, tolerance=1e-9, format="json")
+        tracemalloc.start()
+        try:
+            text, _ = cli._run_decide(document, args)
+            for _ in text:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m**2 < 2
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(PROBLEM), encoding="utf-8")

@@ -432,6 +432,10 @@ class TestRelationMatrix:
     def test_one_interval_is_still_checked(self, geus, tol):
         with pytest.raises(IntervalError):
             relation_matrix(geus, tol)
+        # The rows are lazy, but the check is not: it raises before a row
+        # is read, so the CLI's handler fails before stdout is written.
+        with pytest.raises(IntervalError):
+            decisions._relation_rows(geus, tol, decisions._RELATIONS)
 
     @pytest.mark.parametrize(
         "geus",

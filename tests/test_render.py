@@ -152,3 +152,24 @@ def test_memoryview_prints_as_its_list(xs):
                           ({"elements": xs}, {"elements": memoryview(array("d", xs))})):
         assert list(_json_pieces(view)) == list(_json_pieces(payload))
         assert _as_json(view) == _as_json(payload) == reference(payload)
+
+
+@pytest.mark.parametrize(
+    "rows, width", [(1, 1), (2, 2), (3, _SLICE + 1)], ids=["1", "2", "slice+1"]
+)
+def test_iterator_prints_as_its_list(rows, width):
+    """``decide`` hands the writer its relation rows as an iterator."""
+    texts = ("Equal", "WeaklyGreater", "PartlySmaller")
+    matrix = [tuple(texts[(i + j) % 3] for j in range(width)) for i in range(rows)]
+    payload = {"geus": [[0.5, 1.5]] * rows, "relations": matrix, "note": None}
+    assert _as_json(dict(payload, relations=iter(matrix))) == reference(payload)
+    assert _as_json(iter(matrix)) == _as_json(matrix)
+    # Members of an iterator may be iterators and scalars too.
+    nested = [iter(row) for row in matrix] + [1.5, None, {"k": iter([2, "x"])}]
+    assert _as_json(iter(nested)) == reference(matrix + [1.5, None, {"k": [2, "x"]}])
+
+
+def test_empty_iterator_prints_an_empty_list():
+    payload = {"relations": iter(()), "rows": [iter([])], "after": 1}
+    assert _as_json(payload) == reference({"relations": [], "rows": [[]], "after": 1})
+    assert _as_json(iter(())) == "[]"
