@@ -9,8 +9,9 @@ of ``cluster``, ``generate`` and ``validate`` before stdout was written as
 UTF-8 whatever the locale, the long mixed-family ``generate`` ones
 before mixed candidates were replayed from a block of PCG64 words, the
 all-ASCII ``decide`` table one before ASCII rows lost their own width
-rule, and the long one-family ``generate`` ones before one family's
-candidates were drawn in chunks; a change to the draw order, the arithmetic, the render or the write
+rule, the long one-family ``generate`` ones before one family's
+candidates were drawn in chunks, and the wide mixed-family ``generate``
+ones before the replay drew its words a chunk at a time; a change to the draw order, the arithmetic, the render or the write
 shows here as a digest mismatch.
 """
 
@@ -116,6 +117,36 @@ def test_generate_long_mixed_digest(capsys, case, fmt):
         capsys, LONG_MIXED_CASES[case], fmt, k=LONG_MIXED_K, seeds=LONG_MIXED_SEEDS
     )
     assert digest == LONG_MIXED_DIGESTS[f"{fmt}-{case}"]
+
+
+# Mixed families long and wide enough that the replay's words span many
+# chunks and its rows many chunks of rows, and one mixture wider than a
+# chunk, so that a chunk of rows holds a single row.
+WIDE_MIXED_SEEDS = range(3)
+CYCLE = [
+    (NORMALS, UNIFORMS, EXPONENTIALS)[j % 3][j // 3 % 3] for j in range(40)
+]
+WIDE_MIXED_CASES = {
+    "normal-uniform-exponential": ([NORMALS[1], UNIFORMS[1], EXPONENTIALS[2]], 20_000),
+    "cycle-40": (CYCLE, 2000),
+    "cycle-20000": ([CYCLE[j % 3] for j in range(20_000)], 2),
+}
+WIDE_MIXED_DIGESTS = {
+    "json-cycle-20000": "28d97f7af15ca36ae3f80cfee2c891cb21aa56af449c4636d4d30737dad6d117",
+    "json-cycle-40": "b47f85c2ebf651f88ecdfeb14f9f841f5385788deb42b72e1d0eb6c1999078f5",
+    "json-normal-uniform-exponential": "3ea38c5c3133d1e29000177286c848fe91797eef22fcfa5c654d06ceed8f8743",
+    "table-cycle-20000": "46ff32e9d6b1bf701e68383a689532aef4c32911339290de0ecd7bd10794e57b",
+    "table-cycle-40": "e8a806ac95dd549eabe9ba693a4c332fd12b1a780d75e7d118696ac11ffb8b98",
+    "table-normal-uniform-exponential": "26b2b282584cb49ed569d54464b4571cd40b7396443f5fd39ad9f94416b86179",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("case", sorted(WIDE_MIXED_CASES))
+def test_generate_wide_mixed_digest(capsys, case, fmt):
+    distributions, k = WIDE_MIXED_CASES[case]
+    digest = generate_digest(capsys, distributions, fmt, k=k, seeds=WIDE_MIXED_SEEDS)
+    assert digest == WIDE_MIXED_DIGESTS[f"{fmt}-{case}"]
 
 
 # One family over sequences long enough that the candidate block spans many
