@@ -1,5 +1,5 @@
 """The mixed-family path of :func:`gutheory.algorithms.generate_sequence`:
-numpy's scalar draws, replayed from a block of PCG64's raw 64-bit words.
+numpy's scalar draws, replayed from PCG64's raw 64-bit words.
 
 A uniform draw takes one word; numpy's normal and exponential samplers,
 Marsaglia and Tsang's ziggurats, take one word for about 99% of draws and
@@ -7,19 +7,18 @@ compute the draw from it with the tables in ``_ziggurat.py``.  Such draws
 are computed from their words in bulk.  A draw leaves that path only at
 its own first word: it is drawn again with one scalar call, the words it
 took are read off the generator's state, and every later draw shifts by
-its extra words.  Only this path imports this module and the tables.
+its extra words.  The words come twice from a copy of the start state,
+``_CHUNK`` at a time: once to find the slow draws, once, a chunk of rows
+at a time, to gather each row's picked word, so that no n x k block is
+held.  Only this path imports this module and the tables.
 """
 
-import math
 from bisect import bisect_left
 
 import numpy as np
 
 from ._ziggurat import KE, KI, WE, WI
 from .algorithms import _CHUNK, STANDARD
-
-#: Spare words drawn per candidate for the extra words of slow draws.
-_SPARE = 1 / 16
 
 #: PCG64 steps its 128-bit state to ``state * _PCG64_MULTIPLIER + inc``.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -52,13 +51,14 @@ def replay_mixed(rng, families: list[str], k: int):
     bitgen = rng.bit_generator
     start = bitgen.state
     inc = start["state"]["inc"]
-    # The block of words comes from a copy, so that bitgen only moves on.
+    # Pass 1: scan the words of a copy a chunk at a time, so that bitgen
+    # only moves on; only the last chunk's slow words are kept.
     source = np.random.PCG64()
     source.state = start
-    words = np.empty(0, np.uint64)
     slow_at, slow_codes = [], []  # the slow words' positions and codes
     slow = []  # (row, slot, extra words, standard draw) of each slow draw
-    at = shift = i = 0  # bitgen's words, and the draws' beyond one each
+    # bitgen's words, the draws' words beyond one each, and source's words
+    at = shift = i = scanned = 0
     while True:
         # Candidate c starts at word c + shift; find the first slow word
         # from bitgen's word on that is read by a draw of the family it slows.
@@ -78,45 +78,51 @@ def replay_mixed(rng, families: list[str], k: int):
             beyond = at - slow_at[i] - 1
             slow.append((row, slot, beyond, value))
             shift += beyond
-        elif n * k + shift <= len(words):
+        elif n * k + shift <= scanned:
             break
         else:
-            # Draw the words of the candidates left, and spares.
-            spare = math.ceil((n * k + shift - at) * _SPARE)
-            more = source.random_raw(n * k + shift - len(words) + spare)
-            codes = np.zeros(len(more), np.uint8)
-            for low in range(0, len(more), _CHUNK):
-                for family in tables.keys() & set(families):
-                    mantissa, layer = _ziggurat(family, more[low:low + _CHUNK])
-                    codes[low:low + _CHUNK][mantissa >= tables[family][0][layer]] |= bits[family]
+            words = source.random_raw(min(_CHUNK, n * k + shift - scanned))
+            codes = np.zeros(len(words), np.uint8)
+            for family in tables.keys() & set(families):
+                mantissa, layer = _ziggurat(family, words)
+                codes[mantissa >= tables[family][0][layer]] |= bits[family]
             found = np.flatnonzero(codes)
-            slow_at += (found + len(words)).tolist()
-            slow_codes += codes[found].tolist()
-            words = np.concatenate([words, more]) if len(words) else more
-            del more, codes  # so that the block is let go below
+            slow_at, slow_codes, i = (found + scanned).tolist(), codes[found].tolist(), 0
+            scanned += len(words)
     bitgen.advance(n * k + shift - at)
     picks = rng.integers(0, n, size=k)
-    # Each row's picked word, at n * j + picks[j] plus the extra words of
-    # the slow draws before it, through an index built in place in k + 1
-    # counts; the block is let go.
-    extra = np.zeros(k + 1, np.int64)
-    for row, slot, beyond, _ in slow:
-        extra[row + (slot >= picks[row])] += beyond
-    index = np.cumsum(extra[:k], out=extra[:k])
-    index += picks
-    index += np.arange(0, n * k, n)
-    words = words[index]
-    del extra, index
-    kind = np.array(slot_bits, np.int8)[picks]
-    kept = (words >> np.uint64(11)) * 2.0**-53  # uniform draws
-    for family, (_, w) in tables.items():
-        chosen = kind == bits[family]
-        word = words[chosen]
-        mantissa, layer = _ziggurat(family, word)
-        draws = mantissa * w[layer]
-        if family == "normal":
-            np.negative(draws, out=draws, where=(word >> np.uint64(8)) & np.uint64(1) == 1)
-        kept[chosen] = draws
+    # Pass 2: draw the words again from the start, a chunk of rows at a
+    # time, and gather each row's picked word, at n * j + picks[j] plus the
+    # extra words of the slow draws before it in the chunk.
+    source.state = start
+    kinds = np.array(slot_bits, np.int8)
+    kept = np.empty(k)
+    rows = max(1, _CHUNK // n)
+    seen = 0  # the slow draws of the rows before the chunk
+    for low in range(0, k, rows):
+        high = min(k, low + rows)
+        extra = np.zeros(high - low + 1, np.int64)
+        while seen < len(slow) and slow[seen][0] < high:
+            row, slot, beyond, _ = slow[seen]
+            extra[row - low + (slot >= picks[row])] += beyond
+            seen += 1
+        index = np.cumsum(extra)
+        words = source.random_raw(n * (high - low) + int(index[-1]))
+        index = index[:-1]
+        index += picks[low:high]
+        index += np.arange(0, n * (high - low), n)
+        words = words[index]
+        kind = kinds[picks[low:high]]
+        out = kept[low:high]
+        np.multiply(words >> np.uint64(11), 2.0**-53, out=out)  # uniform draws
+        for family, (_, w) in tables.items():
+            chosen = kind == bits[family]
+            word = words[chosen]
+            mantissa, layer = _ziggurat(family, word)
+            draws = mantissa * w[layer]
+            if family == "normal":
+                np.negative(draws, out=draws, where=(word >> np.uint64(8)) & np.uint64(1) == 1)
+            out[chosen] = draws
     for row, slot, _, value in slow:
         if slot == picks[row]:
             kept[row] = value

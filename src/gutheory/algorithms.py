@@ -7,8 +7,8 @@ identical seeds give identical sequences across runs and platforms.
 One family draws its candidates in block calls of a fixed size, twice:
 once to move the generator on to the picks, once from a copy of its start
 state to keep each row's picked draw.  Mixed families replay the scalar
-draws from a block of PCG64's raw 64-bit words, in ``_replay.py``, which
-only that path imports.
+draws from PCG64's raw 64-bit words, in ``_replay.py``, which only that
+path imports; they too draw their words a chunk at a time, twice.
 """
 
 from __future__ import annotations
@@ -35,20 +35,23 @@ STANDARD = {
 
 #: The longest sequence ``generate_sequence`` draws.  At this length, with
 #: three distributions, ``gut generate --format json`` peaks at about
-#: 51 MB of resident memory for one family and 96 MB for mixed families:
-#: the elements stay in one float64 array until they are written.
+#: 51 MB of resident memory for one family and 57 MB for mixed families:
+#: the elements stay in one float64 array until they are written, and the
+#: candidates are drawn a chunk at a time.
 MAX_K = 1_000_000
 
 #: The most candidate draws (``k`` times the number of distributions) that
-#: ``generate_sequence`` makes.  Time grows with this product, and so does
-#: the memory of mixed families, which hold a 64-bit word per candidate;
-#: one family draws its candidates a chunk at a time.
+#: ``generate_sequence`` makes.  Time grows with this product; memory does
+#: not, because both paths draw their candidates a chunk at a time.
 MAX_DRAWS = 3 * MAX_K
 
 #: The most distributions ``generate_sequence`` draws from.  Each costs
-#: about 0.5 KB as a parsed document and a spec, so at ``k`` = 1 this many
-#: peak at about 79 MB, under the 95 MB of mixed families at ``MAX_K``;
-#: mixed at ``k`` = 35, the longest ``MAX_DRAWS`` allows, they peak at 111 MB.
+#: about 0.5 KB as a parsed document and a spec, so this many peak at
+#: about 79 MB for every ``k`` up to 35, the longest ``MAX_DRAWS`` allows,
+#: one family or mixed.  That is above the 57 MB of mixed families at
+#: ``MAX_K``, so this cap, not ``MAX_K``, sets ``generate``'s largest peak;
+#: whether to lower it, which would refuse documents that run today, is
+#: open.
 MAX_DISTRIBUTIONS = 85_000
 
 #: The draws, raw words or elements ``generate_sequence`` handles per call,

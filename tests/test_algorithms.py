@@ -251,23 +251,19 @@ class TestGenerateSequence:
         specs = [ONE_FAMILY[family][0] for family in families]  # the standard laws
         assert tuple(kept.tolist()) == replay(specs, k, seed)
 
-    def test_mixed_path_draws_more_words_when_the_spares_run_out(self, monkeypatch):
-        # With no spare words, the first slow draw pushes the last row past
-        # the block; small chunks put chunk edges inside the rows too.
-        monkeypatch.setattr(_replay, "_SPARE", 0.0)
-        monkeypatch.setattr(_replay, "_CHUNK", 97)
-        concatenate = np.concatenate
-        joins = []
-
-        def counted(*args, **kwargs):
-            joins.append(1)
-            return concatenate(*args, **kwargs)
-
-        monkeypatch.setattr(np, "concatenate", counted)
-        specs = [MIXED["exponential"], MIXED["uniform"], MIXED["normal"]]
-        for seed in range(5):
-            assert generate_sequence(specs, 2000, seed=seed).elements == replay(specs, 2000, seed)
-        assert len(joins) > 5
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 97])
+    def test_mixed_path_matches_replay_across_chunk_edges(self, monkeypatch, chunk):
+        # Small chunks put the edges of the scanned words inside rows and
+        # slow draws; k around the rows a chunk holds puts the last chunk's
+        # edge just before, on and after the last row; at n > chunk a chunk
+        # of rows is one row.
+        monkeypatch.setattr(_replay, "_CHUNK", chunk)
+        for n in (2, 3, 7, 20):
+            specs = [MIXED[FAMILIES[(j + 2) % 3]] for j in range(n)]  # exponential first
+            rows = max(1, chunk // n)
+            for k in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows, 150} - {0}):
+                for seed in range(2):
+                    assert generate_sequence(specs, k, seed=seed).elements == replay(specs, k, seed)
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 97])
     @pytest.mark.parametrize("family", FAMILIES)
