@@ -254,9 +254,9 @@ class TestGenerateSequence:
     @pytest.mark.parametrize("chunk", [1, 5, 7, 97])
     def test_mixed_path_matches_replay_across_chunk_edges(self, monkeypatch, chunk):
         # Small chunks put the edges of the scanned words inside rows and
-        # slow draws; k around the rows a chunk holds puts the last chunk's
-        # edge just before, on and after the last row; at n > chunk a chunk
-        # of rows is one row.
+        # slow draws, which 150 rows are long enough to hold; k around the
+        # rows a chunk holds puts the last chunk's edge just before, on and
+        # after the last row; at n > chunk a chunk of rows is one row.
         monkeypatch.setattr(_replay, "_CHUNK", chunk)
         for n in (2, 3, 7, 20):
             specs = [MIXED[FAMILIES[(j + 2) % 3]] for j in range(n)]  # exponential first

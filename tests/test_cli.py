@@ -480,9 +480,8 @@ class TestGenerate:
         # the picks, 8 each, and the finite check's masks; its candidates
         # are drawn a chunk at a time.  Mixed families read about 25: they
         # scan and gather their words a chunk at a time too, and add the
-        # slow draws they replay (62 when they held the whole block of
-        # words).  Holding the elements as Python floats would add 32 more
-        # in a list and 8 in a tuple copy.
+        # slow draws they replay.  Holding the elements as Python floats
+        # would add 32 more in a list and 8 in a tuple copy.
         specs = {
             "normal": {"family": "normal", "mu": 0, "sigma2": 1},
             "uniform": {"family": "uniform", "mu": 0.5, "sigma2": 0.08},
