@@ -10,8 +10,9 @@ UTF-8 whatever the locale, the long mixed-family ``generate`` ones
 before mixed candidates were replayed from a block of PCG64 words, the
 all-ASCII ``decide`` table one before ASCII rows lost their own width
 rule, the long one-family ``generate`` ones before one family's
-candidates were drawn in chunks, and the wide mixed-family ``generate``
-ones before the replay drew its words a chunk at a time; a change to the draw order, the arithmetic, the render or the write
+candidates were drawn in chunks, the wide mixed-family ``generate``
+ones before the replay drew its words a chunk at a time, and the corner
+``decide`` table one before the table was written a row at a time; a change to the draw order, the arithmetic, the render or the write
 shows here as a digest mismatch.
 """
 
@@ -339,6 +340,37 @@ def ascii_problem(rng: random.Random) -> dict:
     return {"natures": natures, "schemes": schemes}
 
 
+#: Payoffs at the corners of ``%g``: zero, the least subnormal, the
+#: exponent thresholds, rounding up to an exponent, and the float range.
+G_CORNERS = (0.0, 5e-324, 1e-05, 999999.5, 1234567.0, 1e16, 1.7e308)
+
+
+def corner_problem(rng: random.Random) -> dict:
+    """A problem whose payoff columns print wider and narrower than their
+    status names, under names that print wide (CJK), as a backslash escape
+    (a lone surrogate) or end in spaces, in the header and the first
+    column.  Each status measure lies inside ``[0, 1 / n]``, so even rows of
+    1.7e308 sum inside the float range."""
+    names = ["\u7532\u4e59", "x\ud800", "n  ", "n", "a longer status"]
+    rng.shuffle(names)
+    statuses = names[:rng.randint(1, len(names))]
+    natures = []
+    for name in statuses:
+        left = rng.uniform(0.0, 0.5) / len(statuses)
+        natures.append({"name": name, "gum": [left, rng.uniform(left, 1.0 / len(statuses))]})
+    count = rng.randint(1, 12)
+    schemes = ["\u7532\u4e59", "x\ud800", "S  "] + [f"S{i}" for i in range(3, count)]
+    rng.shuffle(schemes)
+    return {
+        "natures": natures,
+        "schemes": [
+            {"name": name, "payoffs": [rng.choice(G_CORNERS) for _ in natures]}
+            for name in schemes[:count]
+        ],
+        "attitude": rng.choice(["averse", "seeking"]),
+    }
+
+
 TIED = functools.partial(wide_problem, tied=True)
 
 DECIDE_CASES = {
@@ -384,6 +416,7 @@ GRID_DIGESTS = {
     "validate-valid": "879997331e31b2656768c240e8ab2c6138ca3c7f6e05a5a9a3812f8eb54f5277",
 }
 
+CORNER_TABLE_DIGEST = "ec8bca3ffbfd1389bc08ff89dd85e193172fc5660884a7c5e46dd8925987a86a"
 ASCII_TABLE_DIGEST = "66df57218ba6c0b8bc94ea9e59d9d9efe04041a61a0d24035fed15da9c6ebcad"
 
 
@@ -436,6 +469,17 @@ def test_decide_ascii_table_digest(capsys):
     argv = ["decide", "--format", "table"]
     digest = grid_digest(capsys, ascii_problem, argv, 0, check)
     assert digest == ASCII_TABLE_DIGEST
+
+
+def test_decide_corner_table_digest(capsys):
+    """The table of payoffs at the corners of ``%g`` under wide, escaped
+    and space-padded names, in the header and in the first column."""
+    def check(out):
+        assert "\nselected: " in out
+
+    argv = ["decide", "--format", "table"]
+    digest = grid_digest(capsys, corner_problem, argv, 0, check)
+    assert digest == CORNER_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("delta", CLUSTER_DELTAS)
