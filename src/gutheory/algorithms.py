@@ -203,7 +203,8 @@ def _draw(specs: Sequence[DistributionSpec], k: int, seed: int):
     # Imported here so that no other command pays numpy's import time.
     import numpy as np
     rng = np.random.default_rng(seed)
-    offsets, factors = np.array([spec.affine for spec in specs]).T
+    # Filled pair by pair: a list of n tuples would cost about 140 bytes each.
+    offsets, factors = np.fromiter((spec.affine for spec in specs), np.dtype((float, 2)), n).T
     family = specs[0].family
     if all(spec.family == family for spec in specs):
         # One family: the k x n standard draws come in the same row-major

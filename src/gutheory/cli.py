@@ -21,7 +21,9 @@ capacity of a Linux pipe, carrying the rest over.  A reader of the pipe
 then gets full 64 KiB reads, as from one large write.  Ragged writes
 gave a benchmark's launcher many short reads, which raised its own peak
 memory, and Linux counts a process's peak into that of every child it
-starts afterwards.  Stdout returned as one string is written whole.
+starts afterwards.  Every table comes as pieces too, a line or a slice
+at a time; only ``validate``'s few lines come as one string, written
+whole.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .decisions import (
     ATTITUDES,
     DecisionProblem,
     _report_dict,
+    _table_pieces,
     decide,
-    render_decision_table,
 )
 from .errors import GutError, IntervalError, ValidationError, brief
 from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
@@ -234,12 +236,12 @@ def _as_json(obj) -> str:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (stdout, error line or None), where
-# stdout is one string or an iterable of pieces of text, which ``main``
-# writes in whole multiples of ``_BLOCK`` characters.  A handler does all
-# its domain work before it returns, and the pieces only format its
-# results, so a GutError still leaves stdout empty.  The JSON ``decide``
-# report reads its relation rows as they are written, once
-# ``_relation_rows`` has checked the GEUs and the tolerance.
+# stdout is an iterable of pieces of text, which ``main`` writes in whole
+# multiples of ``_BLOCK`` characters; only ``validate``'s short stdout is
+# one string.  A handler does all its domain work before it returns, and
+# the pieces only format its results, so a GutError still leaves stdout
+# empty.  The JSON ``decide`` report reads its relation rows as they are
+# written, once ``_relation_rows`` has checked the GEUs and the tolerance.
 
 
 def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
@@ -249,7 +251,7 @@ def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str]
     report = decide(problem)
     if args.format == "json":
         return _json_pieces(_report_dict(report, iter)), None
-    return render_decision_table(problem, report), None
+    return _table_pieces(problem, report), None
 
 
 def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
@@ -263,11 +265,11 @@ def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str
     # The table prints the intervals that classify checks: convert them once.
     items = [as_interval(item) for item in items]
     classes = classify(items, delta)
-    lines = [f"delta: {delta:g}\nclasses: {len(classes)}"]
-    for k, members in enumerate(classes):
-        listed = ", ".join(f"{i} {items[i]}" for i in members)
-        lines.append(f"\nclass {k + 1}: {listed}")
-    return lines, None
+    lines = (
+        f"\nclass {k}: " + ", ".join(f"{i} {items[i]}" for i in members)
+        for k, members in enumerate(classes, 1)
+    )
+    return chain([f"delta: {delta:g}\nclasses: {len(classes)}"], lines), None
 
 
 def _run_generate(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:

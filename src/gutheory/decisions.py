@@ -37,7 +37,10 @@ relation ``_classify`` gives there.  A row costs six bisections and a few
 whole-row operations in C, with no call per cell.  The JSON report reads
 the rows as relation texts (``gut`` one row at a time, as it prints them),
 and ``DecisionReport.relations`` builds them as ``Relation`` members on
-first read; the table never builds them.
+first read; the table never builds them.  The table is written a line at
+a time: a first pass keeps only each column's printed width, and a second
+prints each scheme's row with one ``%`` call, so it holds no row, cell
+or line per scheme.
 
 Containment verdicts never eliminate anyone: an interval nested inside
 another ranks neither above nor below it, which is exactly the situation
@@ -470,42 +473,70 @@ def _width(cell: str) -> int:
     )
 
 
-def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> str:
-    """Plain-text table: one column per status, then GEU and comparison."""
-    header = ["/"] + [n.name for n in problem.natures] + ["GEU", "Comparison"]
-    rows = [header]
-    rows.append(
-        ["GUM"] + [_fmt_interval(n.gum) for n in problem.natures] + ["/", "/"]
-    )
-    index_of = {name: k for k, name in enumerate(report.scheme_names)}
-    for i, scheme in enumerate(problem.schemes):
-        entry = report.comparison_column[i]
+def _comparisons(report: DecisionReport) -> Iterator[str]:
+    """The comparison column's texts, ``GEUk`` naming the k-th scheme.  A
+    column from :func:`decide` sets each row's scheme against the best
+    before it, which is the previous row's rival or the previous row, so
+    each name is first looked for at that place; this holds no map of the
+    names."""
+    names = report.scheme_names
+    rival = 0
+    for i, entry in enumerate(report.comparison_column):
         if entry is None:
-            comparison = "/"
-        else:
-            comparison = (
-                f"GEU{index_of[entry.scheme] + 1} "
-                f"{_SYMBOLS[entry.relation]} GEU{index_of[entry.versus] + 1}"
-            )
-        rows.append(
-            [scheme.name]
-            + [f"{p:g}" for p in scheme.payoffs]
-            + [_fmt_interval(report.geus[i]), comparison]
-        )
+            yield "/"
+            continue
+        own = i if names[i] == entry.scheme else names.index(entry.scheme)
+        if names[rival] != entry.versus:
+            rival = i - 1 if names[i - 1] == entry.versus else names.index(entry.versus)
+        yield f"GEU{own + 1} {_SYMBOLS[entry.relation]} GEU{rival + 1}"
+
+
+def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[str]:
+    """The text of :func:`render_decision_table`, one line at a time.  A
+    first pass keeps only each column's width; a second prints each
+    scheme's row with one ``%`` call, so no row, cell or line is held
+    beyond the one being written."""
+    header = ["/", *(n.name for n in problem.natures), "GEU", "Comparison"]
+    gum = ["GUM", *(_fmt_interval(n.gum) for n in problem.natures), "/", "/"]
+    # Payoff and GEU texts are ASCII, and a comparison's one other
+    # character, its relation symbol, prints one column, so ``len`` is each
+    # text's printed width.  Each row's payoff widths fold into running
+    # maxima: a transpose of the payoffs would hold a reference per cell.
+    payoffs = [0] * len(problem.natures)
+    for scheme in problem.schemes:
+        payoffs = list(map(max, payoffs, map(len, map("%g".__mod__, scheme.payoffs))))
+    body = [
+        max(_width(s.name) for s in problem.schemes),
+        *payoffs,
+        max(map(len, map(_fmt_interval, report.geus))),
+        max(map(len, _comparisons(report))),
+    ]
+    widths = [max(w, _width(a), _width(b)) for w, a, b in zip(body, header, gum)]
     # Each cell pads to its column's printed width, counted in the columns
     # it prints to rather than in code points.
-    widths = [max(map(_width, column)) for column in zip(*rows)]
-    lines = [
-        "  ".join(c.ljust(w + len(c) - _width(c)) for c, w in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    lines.append("")
-    lines.append(f"selected: {report.selected} ({report.rationale.value})")
+    for start, cells in (("", header), ("\n", gum)):
+        yield start + "  ".join(
+            c.ljust(w + len(c) - _width(c)) for c, w in zip(cells, widths)
+        ).rstrip()
+    # A scheme's name pads by its own printed width (the ``*``), and its
+    # comparison, the last cell, not at all, so the line ends in no spaces.
+    row = "\n%-*s" + "".join(f"  %-{w}g" for w in widths[1:-2]) + f"  %-{widths[-2]}s  %s"
+    for scheme, interval, comparison in zip(problem.schemes, report.geus, _comparisons(report)):
+        name = scheme.name
+        yield row % (
+            widths[0] + len(name) - _width(name), name, *scheme.payoffs,
+            _fmt_interval(interval), comparison,
+        )
+    yield f"\n\nselected: {report.selected} ({report.rationale.value})"
     if report.attitude:
-        lines.append(f"attitude: {report.attitude}")
+        yield f"\nattitude: {report.attitude}"
     if report.note:
-        lines.append(f"note: {report.note}")
-    return "\n".join(lines)
+        yield f"\nnote: {report.note}"
+
+
+def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> str:
+    """Plain-text table: one column per status, then GEU and comparison."""
+    return "".join(_table_pieces(problem, report))
 
 
 def report_to_dict(report: DecisionReport) -> dict:

@@ -21,6 +21,7 @@ from gutheory import (
     cli,
     decide,
     generate_sequence,
+    render_decision_table,
     report_to_dict,
 )
 from gutheory.algorithms import MAX_DISTRIBUTIONS, MAX_DRAWS, MAX_K
@@ -932,11 +933,14 @@ class _RecordedStdout(io.StringIO):
         return super().write(text)
 
 
-NESTED_400 = {
-    "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
-    "schemes": [{"name": f"S{i}", "payoffs": [i, 1000 - 0.6 * i]} for i in range(400)],
-    "attitude": "averse",
-}
+def nested(m: int) -> dict:
+    """``m`` schemes whose GEUs each lie inside the one before."""
+    return {
+        "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
+        "schemes": [{"name": f"S{i}", "payoffs": [i, 2.5 * m - 0.6 * i]} for i in range(m)],
+        "attitude": "averse",
+    }
+
 
 GENERATE_100K = {
     "k": 100_000,
@@ -947,18 +951,27 @@ GENERATE_100K = {
 }
 
 
+def _table(document: dict) -> str:
+    problem = DecisionProblem.from_dict(document)
+    return render_decision_table(problem, decide(problem))
+
+
 @pytest.mark.parametrize(
-    "command, document, payload",
+    "command, document, fmt, payload",
     [
         (
             "decide",
-            NESTED_400,
-            lambda: report_to_dict(decide(DecisionProblem.from_dict(NESTED_400))),
+            nested(400),
+            "json",
+            lambda: cli._as_json(report_to_dict(decide(DecisionProblem.from_dict(nested(400))))),
         ),
+        # About 100,000 characters: the table's lines cross a block edge.
+        ("decide", nested(2000), "table", lambda: _table(nested(2000))),
         (
             "generate",
             GENERATE_100K,
-            lambda: {
+            "json",
+            lambda: cli._as_json({
                 "seed": 0,
                 "k": 100_000,
                 "generator": "pcg64",
@@ -967,16 +980,16 @@ GENERATE_100K = {
                     100_000,
                     0,
                 ).elements,
-            },
+            }),
         ),
     ],
-    ids=["decide-400", "generate-100000"],
+    ids=["decide-400", "decide-2000-table", "generate-100000"],
 )
-def test_large_report_is_written_in_blocks(monkeypatch, command, document, payload):
-    report = cli._as_json(payload())
+def test_large_report_is_written_in_blocks(monkeypatch, command, document, fmt, payload):
+    report = payload()
     stdout = _RecordedStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main([command, "--input", json.dumps(document), "--format", "json"]) == 0
+    assert main([command, "--input", json.dumps(document), "--format", fmt]) == 0
     assert "".join(stdout.writes) == report + "\n"
     assert all(len(text) < len(report) for text in stdout.writes)
     # Whole pipe-sized blocks but the last, so a reader gets full reads.

@@ -1,6 +1,7 @@
 """The expected-utility selection procedure and its report."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,3 +345,32 @@ class TestReporting:
         assert "GEU4 ≤ GEU3" in text
         assert "GEU5 ⪯ GEU3" in text
         assert "Status 2" in text
+
+    def test_relation_symbols_print_one_column(self):
+        # The table measures its comparison column with len.
+        assert all(decisions._width(text) == 1 for text in decisions._SYMBOLS.values())
+
+    @staticmethod
+    def table_peak(m: int) -> int:
+        """The tracemalloc peak of reading the table of ``m`` nested schemes
+        one piece at a time, once the report is built."""
+        problem = DecisionProblem.from_dict({
+            "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
+            "schemes": [{"name": f"S{i}", "payoffs": [i, 100000 - 0.6 * i]} for i in range(m)],
+            "attitude": "averse",
+        })
+        report = decide(problem)
+        tracemalloc.start()
+        try:
+            for _ in decisions._table_pieces(problem, report):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_table_memory_is_flat_in_schemes(self):
+        # The widths and one line are held, not a row, cell or line per
+        # scheme, nor a map of the scheme names.  The first reading makes
+        # one-time allocations of about 4 KB.
+        self.table_peak(1)
+        assert self.table_peak(4000) < 2 * self.table_peak(500)
