@@ -47,11 +47,11 @@ MAX_DRAWS = 3 * MAX_K
 
 #: The most distributions ``generate_sequence`` draws from.  Each costs
 #: about 0.5 KB as a parsed document and a spec, so this many peak at
-#: about 79 MB for every ``k`` up to 35, the longest ``MAX_DRAWS`` allows,
-#: one family or mixed.  That is above the 57 MB of mixed families at
-#: ``MAX_K``, so this cap, not ``MAX_K``, sets ``generate``'s largest peak;
-#: whether to lower it, which would refuse documents that run today, is
-#: open.
+#: about 70 MB for every ``k`` up to 35, the longest ``MAX_DRAWS`` allows,
+#: with one family, and at 71 to 77 MB mixed.  That is above the 57 MB of
+#: mixed families at ``MAX_K``, so this cap, not ``MAX_K``, sets
+#: ``generate``'s largest peak; whether to lower it, which would refuse
+#: documents that run today, is open.
 MAX_DISTRIBUTIONS = 85_000
 
 #: The draws, raw words or elements ``generate_sequence`` handles per call,
