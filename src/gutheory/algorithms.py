@@ -21,7 +21,7 @@ from .errors import ConfigurationError, IntervalError, brief
 # ``classify`` reads ``delta_neighbour``'s test off sorted endpoints and
 # never calls it; the name stays bound here because ``bench/trace_child.py``
 # counts neighbour tests by wrapping ``algorithms.delta_neighbour``.
-from .intervals import IntervalLike, _Frozen, as_interval, delta_neighbour  # noqa: F401
+from .intervals import IntervalLike, _Frozen, _real, as_interval, delta_neighbour  # noqa: F401
 
 FAMILIES = ("normal", "uniform", "exponential")
 
@@ -80,28 +80,22 @@ class DistributionSpec(_Frozen):
             raise ConfigurationError(
                 f"unknown family {brief(repr(family))}; expected one of {FAMILIES}"
             )
-        mu = float(mu)
-        if not math.isfinite(mu):
-            raise ConfigurationError(f"mu must be finite, got {mu}")
-        if sigma2 is not None:
-            sigma2 = float(sigma2)
+        mu = _real(mu, ConfigurationError, "mu must be finite, got ")
+        if sigma2 is not None or family != "exponential":
+            variance_text = f"{family} needs a positive variance, got "
+            sigma2 = _real(sigma2, ConfigurationError, variance_text, math.ulp(0.0))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", sigma2)
-        if self.family in ("normal", "uniform"):
-            if self.sigma2 is None or not math.isfinite(self.sigma2) or self.sigma2 <= 0.0:
+        if family == "uniform":
+            low, high = self._uniform_bounds()
+            # Not finite when either bound, or the width the sampler
+            # computes from them, overflows.
+            if not math.isfinite(high - low):
                 raise ConfigurationError(
-                    f"{self.family} needs a positive variance, got {self.sigma2!r}"
+                    f"uniform range [{low}, {high}] lies beyond the float range"
                 )
-            if self.family == "uniform":
-                low, high = self._uniform_bounds()
-                # Not finite when either bound, or the width the sampler
-                # computes from them, overflows.
-                if not math.isfinite(high - low):
-                    raise ConfigurationError(
-                        f"uniform range [{low}, {high}] lies beyond the float range"
-                    )
-        else:
+        elif family == "exponential":
             if self.mu <= 0.0:
                 raise ConfigurationError(
                     f"exponential needs a positive mean, got {self.mu}"
@@ -189,17 +183,15 @@ def _draw(specs: Sequence[DistributionSpec], k: int, seed: int):
         raise ConfigurationError(
             f"the number of distributions must be at most {MAX_DISTRIBUTIONS}, got {n}"
         )
-    if k < 1:
-        raise ConfigurationError(f"sequence length must be positive, got {k}")
-    if k > MAX_K:
-        raise ConfigurationError(f"sequence length must be at most {MAX_K}, got {k}")
+    k_text = f"sequence length must be an integer at least 1 and at most {MAX_K}, got "
+    k = _real(k, ConfigurationError, k_text, 1, MAX_K, int)
     if k * n > MAX_DRAWS:
         raise ConfigurationError(
             f"k times the number of distributions must be at most {MAX_DRAWS}, "
             f"got {k} * {n}"
         )
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    seed_text = "seed must be a nonnegative integer in the float range, got "
+    seed = _real(seed, ConfigurationError, seed_text, 0, kind=int)
     # Imported here so that no other command pays numpy's import time.
     import numpy as np
     rng = np.random.default_rng(seed)
@@ -267,8 +259,7 @@ def classify(
     greedy sweep over every remaining item.
     """
     intervals = [as_interval(item) for item in items]
-    if not delta >= 0.0:
-        raise IntervalError(f"delta must be nonnegative, got {delta}")
+    delta = _real(delta, IntervalError, "delta must be nonnegative, got ", 0.0, math.inf)
     for i, iv in enumerate(intervals):
         if not iv.is_proper:
             raise IntervalError(f"item {i} is an inverse interval: {iv}")

@@ -46,7 +46,7 @@ from .decisions import (
     decide,
 )
 from .errors import GutError, IntervalError, ValidationError, brief
-from .intervals import DEFAULT_TOLERANCE, as_interval, endpoint_sum
+from .intervals import DEFAULT_TOLERANCE, _real, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
     DECISION_SCHEMA,
@@ -255,10 +255,9 @@ def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str]
 
 
 def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
-    delta = args.delta if args.delta is not None else float(document["delta"])
-    if math.isinf(delta):
-        # JSON has no infinity to echo in the report.
-        raise IntervalError(f"delta must be finite, got {delta}")
+    # JSON has no infinity to echo in the report.
+    delta = document["delta"] if args.delta is None else args.delta
+    delta = _real(delta, IntervalError, "delta must be finite and nonnegative, got ", 0.0)
     items = document["items"]
     if args.format == "json":
         return _json_pieces({"delta": delta, "classes": classify(items, delta)}), None

@@ -59,11 +59,13 @@ from operator import itemgetter
 from .errors import AttitudeRequiredError, ValidationError, brief
 from .intervals import (
     DEFAULT_TOLERANCE,
+    _TOLERANCE,
     GUInterval,
     IntervalLike,
     Relation,
     _classify,
     _Frozen,
+    _real,
     as_interval,
     compare,
     endpoint_sum,
@@ -74,6 +76,8 @@ ATTITUDES = ("averse", "seeking")
 
 _DOMINANT = (Relation.STRONGLY_GREATER, Relation.WEAKLY_GREATER)
 
+_PAYOFFS = "payoffs must be finite and nonnegative, got "
+
 
 class NatureStatus(_Frozen):
     """A possible state of the world with its interval measure."""
@@ -83,9 +87,9 @@ class NatureStatus(_Frozen):
     name: str
     gum: GUInterval
 
-    def __init__(self, name: str, gum: GUInterval) -> None:
+    def __init__(self, name: str, gum: IntervalLike) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "gum", gum)
+        object.__setattr__(self, "gum", as_interval(gum))
 
 
 class Scheme(_Frozen):
@@ -96,9 +100,9 @@ class Scheme(_Frozen):
     name: str
     payoffs: tuple[float, ...]
 
-    def __init__(self, name: str, payoffs: tuple[float, ...]) -> None:
+    def __init__(self, name: str, payoffs: Sequence[float]) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "payoffs", payoffs)
+        object.__setattr__(self, "payoffs", tuple(payoffs))
 
 
 @unique
@@ -145,7 +149,7 @@ class DecisionProblem(_Frozen):
         object.__setattr__(self, "natures", natures)
         object.__setattr__(self, "schemes", schemes)
         object.__setattr__(self, "attitude", attitude)
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "tolerance", _real(tolerance, ValidationError, _TOLERANCE, 0.0))
         problems = []
         if not self.natures:
             problems.append("at least one nature status is required")
@@ -168,20 +172,14 @@ class DecisionProblem(_Frozen):
                     f"scheme {brief(repr(s.name))} has {len(s.payoffs)} payoffs for "
                     f"{len(self.natures)} statuses"
                 )
-            for p in s.payoffs:
-                if not math.isfinite(p) or p < 0.0:
-                    problems.append(
-                        f"scheme {brief(repr(s.name))}: payoffs must be finite and "
-                        f"nonnegative, got {p}"
-                    )
-                    break
+            try:
+                for p in s.payoffs:
+                    _real(p, ValidationError, _PAYOFFS, 0.0)
+            except ValidationError as err:
+                problems.append(f"scheme {brief(repr(s.name))}: {err}")
         if self.attitude is not None and self.attitude not in ATTITUDES:
             problems.append(
                 f"unknown attitude {brief(repr(self.attitude))}; expected one of {ATTITUDES}"
-            )
-        if not 0.0 <= self.tolerance < math.inf:
-            problems.append(
-                f"tolerance must be finite and nonnegative, got {self.tolerance}"
             )
         if problems:
             raise ValidationError(problems)
@@ -201,14 +199,8 @@ class DecisionProblem(_Frozen):
 
         An explicit ``attitude`` argument overrides the document's.
         """
-        natures = tuple(
-            NatureStatus(str(n["name"]), as_interval(n["gum"]))
-            for n in data.get("natures", ())
-        )
-        schemes = tuple(
-            Scheme(str(s["name"]), tuple(float(p) for p in s["payoffs"]))
-            for s in data.get("schemes", ())
-        )
+        natures = tuple(NatureStatus(str(n["name"]), n["gum"]) for n in data.get("natures", ()))
+        schemes = tuple(Scheme(str(s["name"]), s["payoffs"]) for s in data.get("schemes", ()))
         if attitude is None:
             attitude = data.get("attitude")
         return cls(natures, schemes, attitude=attitude, tolerance=tolerance)
@@ -222,12 +214,8 @@ def geu(payoffs: Sequence[float], measures: Sequence[IntervalLike]) -> GUInterva
     """
     measures = [as_interval(m) for m in measures]
     if len(payoffs) != len(measures):
-        raise ValidationError(
-            [f"{len(payoffs)} payoffs for {len(measures)} status measures"]
-        )
-    bad = [p for p in payoffs if not math.isfinite(p) or p < 0.0]
-    if bad:
-        raise ValidationError([f"payoffs must be finite and nonnegative, got {bad}"])
+        raise ValidationError(f"{len(payoffs)} payoffs for {len(measures)} status measures")
+    payoffs = [_real(p, ValidationError, _PAYOFFS, 0.0) for p in payoffs]
     return endpoint_sum(measures, payoffs)
 
 

@@ -31,13 +31,13 @@ class ValidationError(GutError):
     """A structured value (space, variable, envelope, decision problem)
     violates its construction rules.
 
-    ``violations`` carries one message per broken rule.  The exception text
-    joins the first three and counts the rest, so an error line stays short
-    however many rules a large input breaks.
+    ``violations`` carries one message per broken rule; a lone ``str`` is
+    one.  The exception text joins the first three and counts the rest, so
+    an error line stays short however many rules a large input breaks.
     """
 
-    def __init__(self, violations: Iterable[str]):
-        self.violations: tuple[str, ...] = tuple(violations)
+    def __init__(self, violations: Iterable[str] | str):
+        self.violations = (violations,) if isinstance(violations, str) else tuple(violations)
         rest = len(self.violations) - 3
         text = "; ".join(self.violations[:3]) or "invalid value"
         super().__init__(f"{text}; and {rest} more" if rest > 0 else text)

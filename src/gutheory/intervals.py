@@ -29,6 +29,7 @@ matters.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from enum import Enum, unique
 
@@ -36,6 +37,33 @@ from .errors import IntervalError, brief
 
 #: Comparison slack used by every tolerance-aware predicate in the package.
 DEFAULT_TOLERANCE = 1e-9
+
+#: The largest finite float, and the default bounds of :func:`_real`.
+_MAX = sys.float_info.max
+
+#: The classes :func:`_real` takes without an ``isinstance`` test.
+_EXACT = frozenset((int, float))
+
+#: The texts of the numbers that several entries read.
+_ENDPOINTS = "interval endpoints must be finite, got "
+_TOLERANCE = "tolerance must be finite and nonnegative, got "
+
+
+def _real(value, error: type, message: str, low=-_MAX, high=_MAX, kind=float, shown=None):
+    """``value`` as a ``kind`` when it is a number in ``[low, high]``, else
+    ``error`` of ``message`` and the repr of ``shown`` (by default ``value``).
+
+    This is the package's one rule for a number, and the command line's:
+    an ``int`` or a ``float`` (so ``numpy.float64``), never a ``bool``,
+    ``str``, ``None``, container or other numpy scalar.  The default range
+    is the finite floats.  An upper bound of ``inf`` admits it, and an
+    ``int`` beyond the float range then reads as ``inf``.  ``kind`` ``int``
+    reads a count or a seed: an integral value, returned as an ``int``.
+    """
+    if type(value) in _EXACT or type(value) is not bool and isinstance(value, (int, float)):
+        if low <= value <= high and (kind is float or value % 1 == 0):
+            return kind(value) if value <= _MAX else high
+    raise error(message + brief(repr(value if shown is None else shown)))
 
 
 class _Frozen:
@@ -96,11 +124,9 @@ class GUInterval(_Frozen):
     right: float
 
     def __init__(self, left: float, right: float) -> None:
-        left, right = float(left), float(right)
-        if not (math.isfinite(left) and math.isfinite(right)):
-            raise IntervalError(f"interval endpoints must be finite, got [{left}, {right}]")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        shown = [left, right]
+        object.__setattr__(self, "left", _real(left, IntervalError, _ENDPOINTS, shown=shown))
+        object.__setattr__(self, "right", _real(right, IntervalError, _ENDPOINTS, shown=shown))
 
     @property
     def is_proper(self) -> bool:
@@ -137,12 +163,9 @@ def as_interval(value: IntervalLike) -> GUInterval:
         return value
     try:
         left, right = value
-        # The constructor converts each endpoint with float() once.
-        return GUInterval(left, right)
-    except IntervalError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise IntervalError(f"cannot read {brief(repr(value))} as an interval") from exc
+    except (TypeError, ValueError):
+        raise IntervalError(f"cannot read {brief(repr(value))} as an interval") from None
+    return GUInterval(left, right)
 
 
 def add(i1: GUInterval, i2: GUInterval) -> GUInterval:
@@ -183,7 +206,9 @@ def endpoint_sum(
     rather than an ``OverflowError``.
     """
     intervals = tuple(intervals)
-    weights = (1.0,) * len(intervals) if weights is None else tuple(weights)
+    weights = (1.0,) * len(intervals) if weights is None else tuple(
+        _real(w, IntervalError, "weights must be finite, got ") for w in weights
+    )
     try:
         left = math.fsum(w * i.left for w, i in zip(weights, intervals))
         right = math.fsum(w * i.right for w, i in zip(weights, intervals))
@@ -238,8 +263,7 @@ def delta_neighbour(i1: GUInterval, i2: GUInterval, delta: float) -> bool:
     in ``delta``.  It is *not* transitive, which is why the classing
     algorithm built on it fixes a pivot per class.
     """
-    if not delta >= 0.0:
-        raise IntervalError(f"delta must be nonnegative, got {delta}")
+    delta = _real(delta, IntervalError, "delta must be nonnegative, got ", 0.0, math.inf)
     for i in (i1, i2):
         if not i.is_proper:
             raise IntervalError(f"delta neighbourhood needs proper intervals, got {i}")
@@ -301,8 +325,7 @@ def compare(i1: GUInterval, i2: GUInterval, tol: float = DEFAULT_TOLERANCE) -> R
     for i in (i1, i2):
         if not i.is_proper:
             raise IntervalError(f"comparison needs proper intervals, got {i}")
-    if not 0.0 <= tol < math.inf:
-        raise IntervalError(f"tolerance must be finite and nonnegative, got {tol}")
+    tol = _real(tol, IntervalError, _TOLERANCE, 0.0)
     return _classify(i1.left, i1.right, i2.left, i2.right, tol)
 
 

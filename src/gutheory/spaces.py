@@ -29,7 +29,6 @@ results do not depend on atom enumeration order.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 
 from .errors import (
@@ -41,9 +40,11 @@ from .errors import (
 )
 from .intervals import (
     DEFAULT_TOLERANCE,
+    _TOLERANCE,
     GUInterval,
     IntervalLike,
     _Frozen,
+    _real,
     add,
     as_interval,
     div,
@@ -125,10 +126,10 @@ def axiom_violations(
 
     if mode not in MODES:
         problems.append(f"unknown mode {brief(repr(mode))}; expected one of {MODES}")
-    if not (isinstance(tolerance, (int, float)) and 0.0 <= tolerance < math.inf):
-        problems.append(
-            f"tolerance must be finite and nonnegative, got {brief(repr(tolerance))}"
-        )
+    try:
+        tolerance = _real(tolerance, ValidationError, _TOLERANCE, 0.0)
+    except ValidationError as err:
+        problems += err.violations
         tolerance = DEFAULT_TOLERANCE
 
     usable: dict[str, GUInterval] = {}

@@ -32,6 +32,7 @@ from .intervals import (
     DEFAULT_TOLERANCE,
     GUInterval,
     IntervalLike,
+    _real,
     as_interval,
     endpoint_sum,
     gud,
@@ -50,12 +51,13 @@ def _law_violations(masses: Sequence[GUInterval], mode: str, what: str) -> list[
 
 
 def _values_violations(values: Sequence[float], what: str) -> list[str]:
-    problems = []
-    if any(not math.isfinite(v) for v in values):
-        problems.append(f"{what} must be finite")
-    elif any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-        problems.append(f"{what} must be strictly increasing")
-    return problems
+    try:
+        values = [_real(v, ValidationError, f"{what} must be finite, got ") for v in values]
+    except ValidationError as err:
+        return list(err.violations)
+    if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
+        return [f"{what} must be strictly increasing"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class DiscreteGUVariable:
     mode: str = "coherent"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "masses", tuple(map(as_interval, self.masses)))
         problems = []
         if not self.values:
             problems.append("the support is empty")
@@ -132,6 +135,7 @@ class JointDiscreteGUVariable:
     mode: str = "coherent"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(tuple(map(as_interval, r)) for r in self.cells))
         problems = []
         if not self.row_values or not self.col_values:
             problems.append("both supports must be non-empty")
@@ -231,14 +235,13 @@ class GUFunctionEnvelope:
     def __post_init__(self) -> None:
         problems = []
         try:
-            lo, hi = (float(v) for v in self.domain)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                [f"domain must be a pair of numbers, got {brief(repr(self.domain))}"]
-            ) from None
+            domain = as_interval(self.domain)
+        except IntervalError as err:
+            raise ValidationError(f"domain: {err}") from None
+        lo, hi = domain.left, domain.right
         object.__setattr__(self, "domain", (lo, hi))
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            problems.append(f"domain must be a finite ordered pair, got {self.domain}")
+        if lo >= hi:
+            problems.append(f"domain must be an ordered pair, got {self.domain}")
         elif not math.isfinite(hi - lo):
             problems.append(f"domain [{lo}, {hi}] is wider than the float range")
         elif (hi - lo) / (RESOLUTION - 1) == 0.0:
@@ -258,12 +261,10 @@ class GUFunctionEnvelope:
         problems = []
         for x in self.grid():
             try:
-                f1, f2 = self.lower(x), self.upper(x)
+                f1 = _real(self.lower(x), ValidationError, "the lower core gave ")
+                f2 = _real(self.upper(x), ValidationError, "the upper core gave ")
             except Exception as exc:
                 problems.append(f"core evaluation failed at x={x:.6g}: {exc}")
-                return problems
-            if not (math.isfinite(f1) and math.isfinite(f2)):
-                problems.append(f"cores must be finite on the domain, failed at x={x:.6g}")
                 return problems
             if f1 - f2 > DEFAULT_TOLERANCE:
                 problems.append(
@@ -284,31 +285,25 @@ class GUFunctionEnvelope:
         step = (hi - lo) / (RESOLUTION - 1)
         return [lo + i * step for i in range(RESOLUTION - 1)] + [hi]
 
-    def _contains(self, x: float) -> bool:
-        return self.domain[0] <= x <= self.domain[1]
-
-    def _require(self, x: float, label: str) -> None:
-        if not self._contains(x):
-            raise EnvelopeError(
-                f"{label} {x:.6g} lies outside the domain "
-                f"[{self.domain[0]:.6g}, {self.domain[1]:.6g}]"
-            )
+    def _require(self, x: float, label: str) -> float:
+        """``x`` as a float, which must lie in the domain."""
+        lo, hi = self.domain
+        domain_text = f"{label} must lie in the domain [{lo:.6g}, {hi:.6g}], got "
+        return _real(x, EnvelopeError, domain_text, lo, hi)
 
 
 def gu_limit(env: GUFunctionEnvelope, x0: float) -> GUInterval:
     """Interval limit of the envelope at ``x0``: each core's limit, taken
     as its value when that is finite and by grid approach otherwise."""
-    env._require(x0, "limit point")
+    x0 = env._require(x0, "limit point")
     return GUInterval(_core_limit(env, env.lower, x0), _core_limit(env, env.upper, x0))
 
 
 def _core_limit(env: GUFunctionEnvelope, core: Callable[[float], float], x0: float) -> float:
     try:
-        direct = core(x0)
+        return _real(core(x0), ConvergenceError, "the core gave ")
     except Exception:
-        direct = math.nan
-    if math.isfinite(direct):
-        return direct
+        pass
     lo, hi = env.domain
     sides = []
     for sign in (-1.0, 1.0):
@@ -318,19 +313,18 @@ def _core_limit(env: GUFunctionEnvelope, core: Callable[[float], float], x0: flo
         previous = None
         for _ in range(60):
             x = x0 + sign * h
-            if not env._contains(x):
+            if not lo <= x <= hi:
                 h *= 0.5
                 continue
             try:
-                v = core(x)
+                v = _real(core(x), ConvergenceError, "the core gave ")
             except Exception:
                 h *= 0.5
                 continue
-            if math.isfinite(v):
-                if previous is not None and abs(v - previous) <= 1e-9:
-                    sides.append(v)
-                    break
-                previous = v
+            if previous is not None and abs(v - previous) <= 1e-9:
+                sides.append(v)
+                break
+            previous = v
             h *= 0.5
         else:
             raise ConvergenceError(
@@ -354,7 +348,7 @@ def gu_derivative(env: GUFunctionEnvelope, x0: float) -> GUInterval:
     where both neighbours fit in the domain and one-sided at the edges;
     the two slopes are then bracketed.
     """
-    env._require(x0, "derivative point")
+    x0 = env._require(x0, "derivative point")
     lo, hi = env.domain
     h = (hi - lo) / (RESOLUTION - 1)
 
@@ -376,9 +370,9 @@ def gu_variation(env: GUFunctionEnvelope, x0: float, delta: float) -> GUInterval
     lower one, the greatest from the lower core up to the upper one, so
     the result is ``[lower(x0+d) - upper(x0), upper(x0+d) - lower(x0)]``.
     """
-    if delta <= 0.0:
-        raise EnvelopeError(f"variation needs a positive increment, got {delta}")
-    env._require(x0, "variation point")
+    x0 = env._require(x0, "variation point")
+    delta_text = "variation needs a positive increment, got "
+    delta = _real(delta, EnvelopeError, delta_text, math.ulp(0.0))
     env._require(x0 + delta, "variation endpoint")
     return GUInterval(
         env.lower(x0 + delta) - env.upper(x0),
@@ -401,8 +395,8 @@ def _trapezoid(xs: list[float], pairs: Iterable[Sequence[float]]) -> GUInterval:
 def gu_integral(env: GUFunctionEnvelope, a: float, b: float) -> GUInterval:
     """Interval integral over ``[a, b]`` by the trapezoid rule on a fresh
     grid of :data:`RESOLUTION` points."""
-    env._require(a, "integration bound")
-    env._require(b, "integration bound")
+    a = env._require(a, "integration bound")
+    b = env._require(b, "integration bound")
     if a > b:
         raise EnvelopeError(f"integration bounds are reversed: [{a:.6g}, {b:.6g}]")
     xs = env.grid(a, b)

@@ -296,6 +296,17 @@ class TestGenerateSequence:
         with pytest.raises(ConfigurationError):
             generate_sequence(self.SPECS, 0)
 
+    @pytest.mark.parametrize(
+        "k, seed", [(2.5, 0), (5, 1.5), (True, 0), (5, True), ("5", 0), (np.int64(5), 0)]
+    )
+    def test_length_and_seed_are_integers(self, k, seed):
+        with pytest.raises(ConfigurationError):
+            generate_sequence(self.SPECS, k, seed)
+
+    def test_integral_float_length_and_seed_read_as_ints(self):
+        # As JSON Schema's "integer" does, which the command line applies.
+        assert generate_sequence(self.SPECS, 5.0, 3.0) == generate_sequence(self.SPECS, 5, 3)
+
     @pytest.mark.parametrize("k", [MAX_K + 1, 10**20, 1e20])
     def test_length_above_ceiling_is_configuration_error(self, k):
         with pytest.raises(ConfigurationError, match="at most"):

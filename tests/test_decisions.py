@@ -1,5 +1,6 @@
 """The expected-utility selection procedure and its report."""
 
+import gc
 import math
 import tracemalloc
 
@@ -353,13 +354,22 @@ class TestReporting:
     @staticmethod
     def table_peak(m: int) -> int:
         """The tracemalloc peak of reading the table of ``m`` nested schemes
-        one piece at a time, once the report is built."""
+        one piece at a time, once the report is built.
+
+        The table is read once untraced first: ``%g`` of an int payoff makes
+        a float, and after a full collection has emptied CPython's float free
+        list, the first read refills it with a few KB of blocks that a
+        traced first read would count.
+        """
         problem = DecisionProblem.from_dict({
             "natures": [{"name": "a", "gum": [0.5, 0.5]}, {"name": "b", "gum": [0, 1]}],
             "schemes": [{"name": f"S{i}", "payoffs": [i, 100000 - 0.6 * i]} for i in range(m)],
             "attitude": "averse",
         })
         report = decide(problem)
+        for _ in decisions._table_pieces(problem, report):
+            pass
+        gc.collect()
         tracemalloc.start()
         try:
             for _ in decisions._table_pieces(problem, report):

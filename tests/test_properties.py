@@ -5,6 +5,7 @@ where endpoint arithmetic is exact in binary floating point; generic
 float inputs get machine-precision bounds instead.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gutheory import (
     DEFAULT_TOLERANCE,
     DecisionProblem,
+    DistributionSpec,
     DiscreteGUVariable,
     GUFunctionEnvelope,
     GUInterval,
@@ -28,6 +30,8 @@ from gutheory import (
     SelectionRationale,
     ValidationError,
     add,
+    as_interval,
+    axiom_violations,
     classify,
     compare,
     complement,
@@ -36,6 +40,7 @@ from gutheory import (
     delta_neighbour,
     density_expectation,
     endpoint_sum,
+    generate_sequence,
     geu,
     gu_derivative,
     gu_integral,
@@ -48,6 +53,7 @@ from gutheory import (
     sub,
 )
 from gutheory import decisions
+from gutheory.cli import main
 from gutheory.decisions import ATTITUDES, relation_matrix
 from gutheory.intervals import _classify
 from gutheory.variables import RESOLUTION
@@ -1051,3 +1057,188 @@ def test_json_rows_are_the_values_of_the_matrix(problem):
     rows = decisions.report_to_dict(report)["relations"]
     matrix = relation_matrix(report.geus, report.tolerance)
     assert [list(row) for row in rows] == [[rel.value for rel in row] for row in matrix]
+
+
+# ---------------------------------------------------------------------------
+# One rule for a number.  Every public constructor and kernel reads the
+# numbers of its arguments as the command line reads JSON: an int or a
+# float (numpy.float64 is a float), finite unless the slot admits inf, and
+# never a bool, str, None, container or other numpy scalar.
+
+HOSTILE = {
+    "int-401-digits": 10**400, "-int-401-digits": -(10**400), "str": "1", "bool": True,
+    "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [],
+    "numpy.float64": np.float64(0.5), "numpy.float32": np.float32(0.5),
+    "numpy.int64": np.int64(1), "numpy.bool_": np.bool_(True),
+}
+REFUSED = ("str", "bool", "None", "list", "numpy.float32", "numpy.int64", "numpy.bool_")
+
+_UNIT = GUInterval(0.25, 0.5)
+_NATURE = (NatureStatus("n", GUInterval(1.0, 1.0)),)
+_SPEC = DistributionSpec("normal", 0.0, 1.0)
+
+
+def test_validation_error_reads_a_lone_str_as_one_violation():
+    # So the number reader can raise a caller's ValidationError directly.
+    err = ValidationError("bad input")
+    assert err.violations == ("bad input",) and str(err) == "bad input"
+    assert ValidationError(["a", "b"]).violations == ("a", "b")
+
+
+def _envelope(domain=(0.0, 1.0), lower=lambda x: 0.0):
+    return GUFunctionEnvelope(lower, lambda x: 1.0, domain)
+
+
+def _refuse_violations(violations):
+    if violations:
+        raise ValidationError(violations)
+    return violations
+
+
+#: Each entry puts ``h`` in one number slot; the value beside it is one
+#: the slot accepts.
+NUMBER_SLOTS = {
+    "GUInterval-left": (lambda h: GUInterval(h, 1.0), 0.5),
+    "GUInterval-right": (lambda h: GUInterval(0.0, h), 0.5),
+    "as_interval-endpoint": (lambda h: as_interval([h, 1.0]), 0.5),
+    "as_interval-whole": (lambda h: as_interval(h), [0.5, 1.0]),
+    "endpoint_sum-weight": (lambda h: endpoint_sum([_UNIT], [h]), 2.0),
+    "compare-tolerance": (lambda h: compare(_UNIT, GUInterval(0.5, 1.0), h), 0.1),
+    "delta_neighbour-delta": (lambda h: delta_neighbour(_UNIT, GUInterval(0.5, 1.0), h), 0.3),
+    "relation_matrix-tolerance": (lambda h: relation_matrix([_UNIT, GUInterval(0.5, 1.0)], h), 0.1),
+    "DistributionSpec-mu": (lambda h: DistributionSpec("normal", h, 1.0), 0.5),
+    "DistributionSpec-sigma2": (lambda h: DistributionSpec("uniform", 0.0, h), 0.5),
+    "DistributionSpec-exponential-sigma2": (lambda h: DistributionSpec("exponential", 1.0, h), 1.0),
+    "generate_sequence-k": (lambda h: generate_sequence([_SPEC], h), 5),
+    "generate_sequence-seed": (lambda h: generate_sequence([_SPEC], 5, h), 7),
+    "classify-delta": (lambda h: classify([[0.1, 0.2], [0.3, 0.4]], h), 0.2),
+    "classify-item": (lambda h: classify([[h, 1.0]], 0.1), 0.5),
+    "NatureStatus-gum": (lambda h: NatureStatus("n", [h, 1.0]), 0.5),
+    "DecisionProblem-payoff": (lambda h: DecisionProblem(_NATURE, (Scheme("s", (h,)),)), 0.5),
+    "DecisionProblem-tolerance": (
+        lambda h: DecisionProblem(_NATURE, (Scheme("s", (1.0,)),), tolerance=h), 0.1
+    ),
+    "DecisionProblem.from_dict-payoff": (
+        lambda h: DecisionProblem.from_dict(
+            {"natures": [{"name": "n", "gum": [1, 1]}], "schemes": [{"name": "s", "payoffs": [h]}]}
+        ),
+        0.5,
+    ),
+    "geu-payoff": (lambda h: geu((h,), [[0.25, 0.5]]), 0.5),
+    "GUMeasureSpace-endpoint": (lambda h: GUMeasureSpace(["a"], {"a": [h, 1.0]}), 0.5),
+    "axiom_violations-tolerance": (
+        lambda h: _refuse_violations(axiom_violations(["a"], {"a": [1.0, 1.0]}, "coherent", h)),
+        0.1,
+    ),
+    "DiscreteGUVariable-value": (lambda h: DiscreteGUVariable((h,), ([1.0, 1.0],)), 0.5),
+    "DiscreteGUVariable-mass": (lambda h: DiscreteGUVariable((1.0,), (h,)), [1.0, 1.0]),
+    "JointDiscreteGUVariable-value": (
+        lambda h: JointDiscreteGUVariable((h,), (1.0,), (([1.0, 1.0],),)), 0.5
+    ),
+    "JointDiscreteGUVariable-mass": (
+        lambda h: JointDiscreteGUVariable((1.0,), (1.0,), ((h,),)), [1.0, 1.0]
+    ),
+    "GUFunctionEnvelope-domain": (lambda h: _envelope((h, 1.0)).domain, 0.5),
+    "GUFunctionEnvelope-core": (lambda h: _envelope(lower=lambda x: h).domain, 0.5),
+    "gu_limit-point": (lambda h: gu_limit(_envelope(), h), 0.5),
+    "gu_derivative-point": (lambda h: gu_derivative(_envelope(), h), 0.5),
+    "gu_integral-bound": (lambda h: gu_integral(_envelope(), h, 1.0), 0.5),
+    "gu_variation-point": (lambda h: gu_variation(_envelope(), h, 0.25), 0.5),
+    "gu_variation-delta": (lambda h: gu_variation(_envelope(), 0.5, h), 0.25),
+    "nested_limit-endpoint": (lambda h: nested_limit([[h, 1.0]]), 0.5),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(NUMBER_SLOTS))
+@pytest.mark.parametrize("kind", HOSTILE)
+def test_hostile_number_returns_or_raises_gut_error(slot, kind):
+    call, _ = NUMBER_SLOTS[slot]
+    try:
+        call(HOSTILE[kind])
+    except GutError:
+        pass
+    if slot == "DistributionSpec-exponential-sigma2" and kind == "None":
+        return  # an exponential's variance may be left out
+    if kind in REFUSED:
+        with pytest.raises(GutError):
+            call(HOSTILE[kind])
+
+
+@pytest.mark.parametrize(
+    "slot", sorted(slot for slot, (_, good) in NUMBER_SLOTS.items() if isinstance(good, float))
+)
+def test_numpy_float64_reads_as_its_float(slot):
+    # numpy.float64 is a float subclass; numpy's other scalars are refused.
+    call, good = NUMBER_SLOTS[slot]
+    assert call(np.float64(good)) == call(good)
+
+
+#: JSON number tokens, and others where a number belongs.
+TOKENS = (
+    "1e400", "-1e400", "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "true", '"1"',
+    "null", "[]", "-1", "0", "2.5", "5.0", "1e308", "5e-324",
+)
+TOKEN_IDS = [token if len(token) < 20 else f"int-{len(token)}-digits" for token in TOKENS]
+
+_NORMAL = '{"family": "normal", "mu": 0, "sigma2": 1}'
+
+
+def _generate(document):
+    specs = [DistributionSpec.from_dict(d) for d in document["distributions"]]
+    return generate_sequence(specs, document["k"], document.get("seed", 0))
+
+
+#: Each command line slot: the subcommand, its document with ``%s`` where
+#: the token goes, and the library calls that the subcommand makes.
+CLI_SLOTS = {
+    "decide-payoff": (
+        "decide",
+        '{"natures": [{"name": "n", "gum": [1, 1]}], "schemes": [{"name": "s", "payoffs": [%s]}]}',
+        lambda document: decide(DecisionProblem.from_dict(document)),
+    ),
+    "decide-gum": (
+        "decide",
+        '{"natures": [{"name": "n", "gum": [0, %s]}], "schemes": [{"name": "s", "payoffs": [1]}]}',
+        lambda document: decide(DecisionProblem.from_dict(document)),
+    ),
+    "cluster-endpoint": (
+        "cluster",
+        '{"delta": 0.5, "items": [[0, %s]]}',
+        lambda document: classify(document["items"], document["delta"]),
+    ),
+    "generate-mu": (
+        "generate",
+        '{"k": 3, "distributions": [{"family": "normal", "mu": %s, "sigma2": 1}]}',
+        _generate,
+    ),
+    "generate-sigma2": (
+        "generate",
+        '{"k": 3, "distributions": [{"family": "uniform", "mu": 0, "sigma2": %s}]}',
+        _generate,
+    ),
+    "generate-k": ("generate", '{"k": %s, "distributions": [' + _NORMAL + "]}", _generate),
+    "generate-seed": (
+        "generate", '{"k": 3, "seed": %s, "distributions": [' + _NORMAL + "]}", _generate
+    ),
+    "validate-endpoint": (
+        "validate",
+        '{"atoms": ["a", "b"], "gum": {"a": [0, %s], "b": [0, 1]}}',
+        lambda document: GUMeasureSpace(document["atoms"], document["gum"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(CLI_SLOTS))
+@pytest.mark.parametrize("token", TOKENS, ids=TOKEN_IDS)
+def test_library_refuses_what_the_cli_refuses(capsys, slot, token):
+    # The library reads the number Python's json gives the token: inf, NaN,
+    # an int beyond the float range, True, a str, None or a list.
+    command, template, library = CLI_SLOTS[slot]
+    code = main([command, "--input", template % token, "--format", "json"])
+    capsys.readouterr()
+    document = json.loads(template % token)
+    if code == 0:
+        library(document)
+    else:
+        with pytest.raises(GutError):
+            library(document)
