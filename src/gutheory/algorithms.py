@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, IntervalError, brief
+from .errors import ConfigurationError, IntervalError, brief_repr
 # ``classify`` reads ``delta_neighbour``'s test off sorted endpoints and
 # never calls it; the name stays bound here because ``bench/trace_child.py``
 # counts neighbour tests by wrapping ``algorithms.delta_neighbour``.
@@ -78,7 +78,7 @@ class DistributionSpec(_Frozen):
     def __init__(self, family: str, mu: float, sigma2: float | None = None) -> None:
         if family not in FAMILIES:
             raise ConfigurationError(
-                f"unknown family {brief(repr(family))}; expected one of {FAMILIES}"
+                f"unknown family {brief_repr(family)}; expected one of {FAMILIES}"
             )
         mu = _real(mu, ConfigurationError, "mu must be finite, got ")
         if sigma2 is not None or family != "exponential":
@@ -117,7 +117,7 @@ class DistributionSpec(_Frozen):
             mu = data["mu"]
         except (TypeError, KeyError):
             raise ConfigurationError(
-                f"distribution description needs 'family' and 'mu': {brief(repr(data))}"
+                f"distribution description needs 'family' and 'mu': {brief_repr(data)}"
             ) from None
         return cls(family=family, mu=mu, sigma2=data.get("sigma2"))
 

@@ -22,8 +22,8 @@ then gets full 64 KiB reads, as from one large write.  Ragged writes
 gave a benchmark's launcher many short reads, which raised its own peak
 memory, and Linux counts a process's peak into that of every child it
 starts afterwards.  Every table comes as pieces too, a line or a slice
-at a time; only ``validate``'s few lines come as one string, written
-whole.
+at a time; ``validate``'s few lines come as one string, which ``main``
+writes through the same blocks as one piece.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .decisions import (
     _table_pieces,
     decide,
 )
-from .errors import GutError, IntervalError, ValidationError, brief
+from .errors import GutError, IntervalError, ValidationError, brief, brief_repr
 from .intervals import DEFAULT_TOLERANCE, _real, as_interval, endpoint_sum
 from .schemas import (
     CLUSTER_SCHEMA,
@@ -97,9 +97,9 @@ def _load_document(source: str) -> dict:
             with open(source, encoding="utf-8") as file:
                 text = file.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {brief(repr(source))}: {exc.strerror}") from None
+        raise _UsageError(f"cannot read {brief_repr(source)}: {exc.strerror}") from None
     except UnicodeDecodeError:
-        raise _UsageError(f"cannot read {brief(repr(source))}: not UTF-8 text") from None
+        raise _UsageError(f"cannot read {brief_repr(source)}: not UTF-8 text") from None
     try:
         document = json.loads(
             text,
@@ -237,11 +237,12 @@ def _as_json(obj) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (stdout, error line or None), where
 # stdout is an iterable of pieces of text, which ``main`` writes in whole
-# multiples of ``_BLOCK`` characters; only ``validate``'s short stdout is
-# one string.  A handler does all its domain work before it returns, and
-# the pieces only format its results, so a GutError still leaves stdout
-# empty.  The JSON ``decide`` report reads its relation rows as they are
-# written, once ``_relation_rows`` has checked the GEUs and the tolerance.
+# multiples of ``_BLOCK`` characters; ``validate``'s short stdout is one
+# string, written as one piece.  A handler does all its domain work before
+# it returns, and the pieces only format its results, so a GutError still
+# leaves stdout empty.  The JSON ``decide`` report reads its relation rows
+# as they are written, once ``_relation_rows`` has checked the GEUs and the
+# tolerance.
 
 
 def _run_decide(document: dict, args: argparse.Namespace) -> tuple[Iterable[str], None]:
@@ -426,23 +427,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             # what UTF-8 cannot encode.  A stream of str, such as a
             # StringIO, encodes nothing.
             stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
-        if isinstance(text, str):
-            print(text, file=stdout)
-        else:
-            block, size = [], 0
-            for piece in text:
-                block.append(piece)
-                size += len(piece)
-                if size >= _BLOCK:
-                    # Write whole blocks: cut the last piece, which took
-                    # the size past a multiple of _BLOCK, and carry its tail.
-                    last = block.pop()
-                    cut = len(last) - size % _BLOCK
-                    block.append(last[:cut])
-                    stdout.write("".join(block))
-                    block, size = [last[cut:]], size % _BLOCK
-            block.append("\n")
-            stdout.write("".join(block))
+        block, size = [], 0
+        for piece in (text,) if isinstance(text, str) else text:
+            block.append(piece)
+            size += len(piece)
+            if size >= _BLOCK:
+                # Write whole blocks: cut the last piece, which took the
+                # size past a multiple of _BLOCK, and carry its tail.
+                last = block.pop()
+                cut = len(last) - size % _BLOCK
+                block.append(last[:cut])
+                stdout.write("".join(block))
+                block, size = [last[cut:]], size % _BLOCK
+        block.append("\n")
+        stdout.write("".join(block))
         stdout.flush()
     except OSError as exc:
         # The reader went away or the device is full.  Point stdout at the

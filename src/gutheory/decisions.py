@@ -56,7 +56,7 @@ from enum import Enum, unique
 from itertools import accumulate
 from operator import itemgetter
 
-from .errors import AttitudeRequiredError, ValidationError, brief
+from .errors import AttitudeRequiredError, ValidationError, brief, brief_repr
 from .intervals import (
     DEFAULT_TOLERANCE,
     _TOLERANCE,
@@ -164,22 +164,22 @@ class DecisionProblem(_Frozen):
         for n in self.natures:
             if not n.gum.is_measure_valid:
                 problems.append(
-                    f"status {brief(repr(n.name))}: measure {n.gum} must lie inside [0, 1]"
+                    f"status {brief_repr(n.name)}: measure {n.gum} must lie inside [0, 1]"
                 )
         for s in self.schemes:
             if len(s.payoffs) != len(self.natures):
                 problems.append(
-                    f"scheme {brief(repr(s.name))} has {len(s.payoffs)} payoffs for "
+                    f"scheme {brief_repr(s.name)} has {len(s.payoffs)} payoffs for "
                     f"{len(self.natures)} statuses"
                 )
             try:
                 for p in s.payoffs:
                     _real(p, ValidationError, _PAYOFFS, 0.0)
             except ValidationError as err:
-                problems.append(f"scheme {brief(repr(s.name))}: {err}")
+                problems.append(f"scheme {brief_repr(s.name)}: {err}")
         if self.attitude is not None and self.attitude not in ATTITUDES:
             problems.append(
-                f"unknown attitude {brief(repr(self.attitude))}; expected one of {ATTITUDES}"
+                f"unknown attitude {brief_repr(self.attitude)}; expected one of {ATTITUDES}"
             )
         if problems:
             raise ValidationError(problems)
@@ -207,10 +207,11 @@ class DecisionProblem(_Frozen):
 
 
 def geu(payoffs: Sequence[float], measures: Sequence[IntervalLike]) -> GUInterval:
-    """Generalized expected utility of one payoff row.
+    """Generalized expected utility of one raw payoff row, checked.
 
     Endpoint sums ``[sum p_j * left_j, sum p_j * right_j]`` over the
     status measures, via :func:`~gutheory.intervals.endpoint_sum`.
+    :func:`decide` sums a :class:`DecisionProblem`'s already-checked rows directly.
     """
     measures = [as_interval(m) for m in measures]
     if len(payoffs) != len(measures):
@@ -364,7 +365,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
     tol = problem.tolerance
     names = tuple(s.name for s in problem.schemes)
     measures = [n.gum for n in problem.natures]
-    geus = tuple(geu(s.payoffs, measures) for s in problem.schemes)
+    geus = tuple(endpoint_sum(measures, s.payoffs) for s in problem.schemes)
     m = len(names)
     note = None
 
@@ -398,7 +399,7 @@ def decide(problem: DecisionProblem) -> DecisionReport:
             raise AttitudeRequiredError(
                 "no scheme dominates; a risk attitude (averse or seeking) is "
                 "needed to choose among " +
-                brief(", ".join(repr(names[i]) for i in survivors))
+                brief(", ".join(brief_repr(names[i]) for i in survivors))
             )
         widths = [gud(geus[i]) for i in survivors]
         target = min(widths) if problem.attitude == "averse" else max(widths)

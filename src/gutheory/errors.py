@@ -18,6 +18,16 @@ def brief(text: str) -> str:
     return text if len(text) <= SHOWN else f"{text[:SHOWN - 3]}..."
 
 
+def brief_repr(value: object) -> str:
+    """``value``'s ``repr`` cut by :func:`brief`.  An ``int`` longer than
+    the interpreter's digit limit, or a container holding one, has no
+    ``repr``, so it shows as a placeholder that names its type."""
+    try:
+        return brief(repr(value))
+    except ValueError:
+        return brief(f"<unprintable {type(value).__name__}>")
+
+
 class GutError(ValueError):
     """Base class for every domain error raised by this package."""
 

@@ -33,7 +33,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from enum import Enum, unique
 
-from .errors import IntervalError, brief
+from .errors import IntervalError, brief_repr
 
 #: Comparison slack used by every tolerance-aware predicate in the package.
 DEFAULT_TOLERANCE = 1e-9
@@ -63,7 +63,7 @@ def _real(value, error: type, message: str, low=-_MAX, high=_MAX, kind=float, sh
     if type(value) in _EXACT or type(value) is not bool and isinstance(value, (int, float)):
         if low <= value <= high and (kind is float or value % 1 == 0):
             return kind(value) if value <= _MAX else high
-    raise error(message + brief(repr(value if shown is None else shown)))
+    raise error(message + brief_repr(value if shown is None else shown))
 
 
 class _Frozen:
@@ -164,7 +164,7 @@ def as_interval(value: IntervalLike) -> GUInterval:
     try:
         left, right = value
     except (TypeError, ValueError):
-        raise IntervalError(f"cannot read {brief(repr(value))} as an interval") from None
+        raise IntervalError(f"cannot read {brief_repr(value)} as an interval") from None
     return GUInterval(left, right)
 
 

@@ -30,7 +30,7 @@ import re
 
 from .algorithms import FAMILIES, MAX_DISTRIBUTIONS, MAX_K
 from .decisions import ATTITUDES
-from .errors import brief
+from .errors import brief, brief_repr
 from .spaces import MODES
 
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
@@ -185,40 +185,40 @@ def _keyword_test(keyword: str, rule, schema: dict):
 
         def test(value):
             if value.__class__ not in exact and not _is_type(value, rule):
-                return [f"{brief(repr(value))} is not of type {rule!r}"]
+                return [f"{brief_repr(value)} is not of type {rule!r}"]
     elif keyword == "enum":
         allowed = set(map(_key, rule))
 
         def test(value):
             if _key(value) not in allowed:
-                return [f"{brief(repr(value))} is not one of {rule!r}"]
+                return [f"{brief_repr(value)} is not one of {rule!r}"]
     elif keyword in ("minimum", "maximum"):
         low = keyword == "minimum"
         side = "less than" if low else "greater than"
 
         def test(value):
             if _is_type(value, "number") and (value < rule if low else value > rule):
-                return [f"{brief(repr(value))} is {side} the {keyword} of {rule!r}"]
+                return [f"{brief_repr(value)} is {side} the {keyword} of {rule!r}"]
     elif keyword in ("minLength", "minItems"):
         kind = str if keyword == "minLength" else list
         verdict = "should be non-empty" if rule == 1 else "is too short"
 
         def test(value):
             if isinstance(value, kind) and len(value) < rule:
-                return [f"{brief(repr(value))} {verdict}"]
+                return [f"{brief_repr(value)} {verdict}"]
     elif keyword == "maxItems":
         verdict = "is expected to be empty" if rule == 0 else "is too long"
 
         def test(value):
             if isinstance(value, list) and len(value) > rule:
-                return [f"{brief(repr(value))} {verdict}"]
+                return [f"{brief_repr(value)} {verdict}"]
     elif keyword == "uniqueItems":
         if not rule:
             return None
 
         def test(value):
             if isinstance(value, list) and len(set(map(_key, value))) < len(value):
-                return [f"{brief(repr(value))} has non-unique elements"]
+                return [f"{brief_repr(value)} has non-unique elements"]
     elif keyword == "required":
         def test(value):
             if isinstance(value, dict):
@@ -237,7 +237,7 @@ def _keyword_test(keyword: str, rule, schema: dict):
                 if isinstance(value, list) and len(value) > n:
                     rest = value[n] if len(value) == n + 1 else value[n:]
                     return [f"Expected at most {n} item{'s' * (n != 1)} but found "
-                            f"{len(value) - n} extra: {brief(repr(rest))}"]
+                            f"{len(value) - n} extra: {brief_repr(rest)}"]
         else:
             named = schema.get("properties", {})
 

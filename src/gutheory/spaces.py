@@ -36,7 +36,7 @@ from .errors import (
     DegeneracyError,
     EventError,
     ValidationError,
-    brief,
+    brief_repr,
 )
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -112,20 +112,20 @@ def axiom_violations(
     if len(set(atoms)) != len(atoms):
         seen: set[str] = set()
         dupes = sorted({a for a in atoms if a in seen or seen.add(a)})
-        problems.append(f"duplicate atoms: {brief(repr(dupes))}")
+        problems.append(f"duplicate atoms: {brief_repr(dupes)}")
     for a in atoms:
         if not isinstance(a, str) or not a:
-            problems.append(f"atom names must be non-empty strings, got {brief(repr(a))}")
+            problems.append(f"atom names must be non-empty strings, got {brief_repr(a)}")
 
     missing = [a for a in atoms if a not in assignment]
     if missing:
-        problems.append(f"atoms without a measure: {brief(repr(missing))}")
+        problems.append(f"atoms without a measure: {brief_repr(missing)}")
     extra = sorted(set(assignment) - set(atoms))
     if extra:
-        problems.append(f"measures for unknown atoms: {brief(repr(extra))}")
+        problems.append(f"measures for unknown atoms: {brief_repr(extra)}")
 
     if mode not in MODES:
-        problems.append(f"unknown mode {brief(repr(mode))}; expected one of {MODES}")
+        problems.append(f"unknown mode {brief_repr(mode)}; expected one of {MODES}")
     try:
         tolerance = _real(tolerance, ValidationError, _TOLERANCE, 0.0)
     except ValidationError as err:
@@ -140,12 +140,12 @@ def axiom_violations(
             iv = as_interval(assignment[a])
         except Exception:
             problems.append(
-                f"atom {brief(repr(a))}: {brief(repr(assignment[a]))} is not an interval"
+                f"atom {brief_repr(a)}: {brief_repr(assignment[a])} is not an interval"
             )
             continue
         if not iv.is_measure_valid:
             problems.append(
-                f"atom {brief(repr(a))}: measure {iv} must satisfy 0 <= left <= right <= 1"
+                f"atom {brief_repr(a)}: measure {iv} must satisfy 0 <= left <= right <= 1"
             )
             continue
         usable[a] = iv
@@ -191,7 +191,7 @@ class GUMeasureSpace(_Frozen):
         members = frozenset(event)
         unknown = members.difference(self.atoms)
         if unknown:
-            raise EventError(f"event names unknown atoms: {brief(repr(sorted(unknown)))}")
+            raise EventError(f"event names unknown atoms: {brief_repr(sorted(unknown))}")
         return members
 
     def _sum(self, members: frozenset[str]) -> GUInterval:
@@ -282,7 +282,7 @@ class GUMeasureSpace(_Frozen):
         wide = [a for a in self.atoms if gud(self.assignment[a]) > DEFAULT_TOLERANCE]
         if wide:
             raise DegeneracyError(
-                f"space is not degenerate; atoms with nonzero width: {brief(repr(wide))}"
+                f"space is not degenerate; atoms with nonzero width: {brief_repr(wide)}"
             )
         return {a: self.assignment[a].left for a in self.atoms}
 

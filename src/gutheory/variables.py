@@ -26,7 +26,7 @@ from .errors import (
     IntervalError,
     NestingError,
     ValidationError,
-    brief,
+    brief_repr,
 )
 from .intervals import (
     DEFAULT_TOLERANCE,
@@ -84,7 +84,7 @@ class DiscreteGUVariable:
             )
         if self.mode not in MODES:
             problems.append(
-                f"unknown mode {brief(repr(self.mode))}; expected one of {MODES}"
+                f"unknown mode {brief_repr(self.mode)}; expected one of {MODES}"
             )
         problems += _values_violations(self.values, "support values")
         if not problems:
@@ -150,7 +150,7 @@ class JointDiscreteGUVariable:
             problems.append("every cell row must match the column support length")
         if self.mode not in MODES:
             problems.append(
-                f"unknown mode {brief(repr(self.mode))}; expected one of {MODES}"
+                f"unknown mode {brief_repr(self.mode)}; expected one of {MODES}"
             )
         if not problems:
             flat = [m for row in self.cells for m in row]
@@ -250,7 +250,7 @@ class GUFunctionEnvelope:
             )
         if self.kind not in ENVELOPE_KINDS:
             problems.append(
-                f"unknown kind {brief(repr(self.kind))}; expected one of {ENVELOPE_KINDS}"
+                f"unknown kind {brief_repr(self.kind)}; expected one of {ENVELOPE_KINDS}"
             )
         if not problems:
             problems += self._core_violations()

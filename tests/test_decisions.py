@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ class TestFiveSchemeSelection:
         assert (column[3].scheme, column[3].versus) == ("S4", "S3")
         assert (column[4].scheme, column[4].versus) == ("S5", "S3")
         assert column[4].relation is Relation.PARTLY_SMALLER
+
+    def test_sums_the_checked_problem_without_checking_it_again(self, five_problem):
+        # DecisionProblem checked every measure and payoff when it was built.
+        expected = decide(five_problem)
+        refuse = mock.Mock(side_effect=AssertionError("checked again"))
+        with mock.patch.object(decisions, "geu", refuse), \
+                mock.patch.object(decisions, "as_interval", refuse):
+            assert decide(five_problem) == expected
 
     def test_attitude_required_without_one(self):
         problem = DecisionProblem(NATURES, FOUR_SCHEMES + (FIFTH,))

@@ -633,7 +633,7 @@ class TestDecideMetamorphic:
             attitude=attitude,
             tolerance=tol,
         )
-        with mock.patch.object(decisions, "geu", side_effect=geus):
+        with mock.patch.object(decisions, "endpoint_sum", side_effect=geus):
             report = decide(problem)
         assert report.geus == tuple(geus)
         assert _selection(report) == _three_scan_selection(problem, report)
@@ -1066,7 +1066,9 @@ def test_json_rows_are_the_values_of_the_matrix(problem):
 # never a bool, str, None, container or other numpy scalar.
 
 HOSTILE = {
-    "int-401-digits": 10**400, "-int-401-digits": -(10**400), "str": "1", "bool": True,
+    "int-401-digits": 10**400, "-int-401-digits": -(10**400),
+    # Longer than the interpreter's digit limit, so it has no repr.
+    "int-5001-digits": 10**5000, "-int-5001-digits": -(10**5000), "str": "1", "bool": True,
     "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [],
     "numpy.float64": np.float64(0.5), "numpy.float32": np.float32(0.5),
     "numpy.int64": np.int64(1), "numpy.bool_": np.bool_(True),
@@ -1171,6 +1173,25 @@ def test_numpy_float64_reads_as_its_float(slot):
     # numpy.float64 is a float subclass; numpy's other scalars are refused.
     call, good = NUMBER_SLOTS[slot]
     assert call(np.float64(good)) == call(good)
+
+
+#: Calls that echo a value holding an int beyond the interpreter's digit
+#: limit, whose ``repr`` raises ``ValueError``: whole, in a list, in a dict.
+UNPRINTABLE = {
+    "DistributionSpec.from_dict": lambda: DistributionSpec.from_dict({"mu": 10**5000}),
+    "axiom_violations": lambda: axiom_violations(["a"], {"a": [10**5000]}),
+    "Scheme-name": lambda: DecisionProblem(_NATURE, (Scheme(10**5000, ()),)),
+    "decide-survivor-name": lambda: decide(
+        DecisionProblem(_NATURE, (Scheme(10**5000, (1.0,)), Scheme("s", (1.0,))))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNPRINTABLE))
+def test_value_with_no_repr_is_echoed_in_a_short_line(name):
+    with pytest.raises(GutError) as err:
+        _refuse_violations(UNPRINTABLE[name]())
+    assert len(str(err.value)) < 200
 
 
 #: JSON number tokens, and others where a number belongs.
