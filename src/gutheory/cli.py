@@ -90,6 +90,9 @@ def _load_document(source: str) -> dict:
         if source == "-":
             if sys.stdin is None:
                 raise _UsageError("cannot read '-': stdin is closed")
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                # Decode stdin as a file is decoded, whatever the locale.
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
             text = sys.stdin.read()
         elif source.lstrip().startswith("{"):
             text = source
@@ -97,7 +100,8 @@ def _load_document(source: str) -> dict:
             with open(source, encoding="utf-8") as file:
                 text = file.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read {brief_repr(source)}: {exc.strerror}") from None
+        # Reconfiguring a stdin read in part raises with no strerror.
+        raise _UsageError(f"cannot read {brief_repr(source)}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise _UsageError(f"cannot read {brief_repr(source)}: not UTF-8 text") from None
     try:

@@ -53,7 +53,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum, unique
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import itemgetter
 
 from .errors import AttitudeRequiredError, ValidationError, brief, brief_repr
@@ -463,21 +463,15 @@ def _width(cell: str) -> int:
 
 
 def _comparisons(report: DecisionReport) -> Iterator[str]:
-    """The comparison column's texts, ``GEUk`` naming the k-th scheme.  A
-    column from :func:`decide` sets each row's scheme against the best
-    before it, which is the previous row's rival or the previous row, so
-    each name is first looked for at that place; this holds no map of the
-    names."""
-    names = report.scheme_names
-    rival = 0
-    for i, entry in enumerate(report.comparison_column):
-        if entry is None:
-            yield "/"
-            continue
-        own = i if names[i] == entry.scheme else names.index(entry.scheme)
-        if names[rival] != entry.versus:
-            rival = i - 1 if names[i - 1] == entry.versus else names.index(entry.versus)
-        yield f"GEU{own + 1} {_SYMBOLS[entry.relation]} GEU{rival + 1}"
+    """The comparison column's texts, ``GEUk`` naming the k-th scheme.  Each
+    rival follows from the column's rule, as in :func:`decide`: a row that
+    is strongly or weakly greater than the best becomes the best."""
+    yield "/"
+    best = 0
+    for i, entry in enumerate(islice(report.comparison_column, 1, None), 1):
+        yield f"GEU{i + 1} {_SYMBOLS[entry.relation]} GEU{best + 1}"
+        if entry.relation in _DOMINANT:
+            best = i
 
 
 def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[str]:
@@ -524,7 +518,8 @@ def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[
 
 
 def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> str:
-    """Plain-text table: one column per status, then GEU and comparison."""
+    """Plain-text table: one column per status, then GEU and comparison, of
+    the ``report`` that :func:`decide` returned for ``problem``."""
     return "".join(_table_pieces(problem, report))
 
 

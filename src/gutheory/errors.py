@@ -19,12 +19,12 @@ def brief(text: str) -> str:
 
 
 def brief_repr(value: object) -> str:
-    """``value``'s ``repr`` cut by :func:`brief`.  An ``int`` longer than
-    the interpreter's digit limit, or a container holding one, has no
-    ``repr``, so it shows as a placeholder that names its type."""
+    """``value``'s ``repr`` cut by :func:`brief`.  An ``int`` beyond the
+    interpreter's digit limit, or a container holding one or nested past
+    the recursion limit, has none, so it shows as ``<unprintable TYPE>``."""
     try:
         return brief(repr(value))
-    except ValueError:
+    except (ValueError, RecursionError):
         return brief(f"<unprintable {type(value).__name__}>")
 
 

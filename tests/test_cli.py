@@ -611,6 +611,27 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err == "error: cannot read '-': not UTF-8 text\n"
 
+    def test_stdin_reads_line_ends_as_a_file_does(self, capsys, monkeypatch, tmp_path):
+        # A file is read with universal newlines, so a lone "\r" ends a line.
+        document = b'{\r"atoms": x}'
+        path = tmp_path / "cr.json"
+        path.write_bytes(document)
+        stdin = io.TextIOWrapper(io.BytesIO(document), encoding="utf-8", newline="\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        from_stdin = run(capsys, "validate", "--input", "-")
+        assert from_stdin == run(capsys, "validate", "--input", str(path))
+        assert from_stdin[2] == "error: invalid JSON at line 2, column 10: Expecting value\n"
+
+    def test_stdin_read_in_part_is_usage_error(self, capsys, monkeypatch):
+        # A stream already read from cannot be set to UTF-8.
+        stdin = io.TextIOWrapper(io.BytesIO(b" {}"), encoding="utf-8")
+        stdin.read(1)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "validate", "--input", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read '-': ") and err.count("\n") == 1
+        assert "None" not in err
+
     def test_stdin_not_an_object_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("[1]"))
         code, out, err = run(capsys, "validate", "--input", "-")
@@ -886,15 +907,32 @@ class TestStandardStreams:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_table_writes_utf8_under_ascii_encoding(self):
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_table_writes_utf8_under_ascii_encoding(self, encoding, tmp_path):
         # Overlapping GEUs compare weakly, which the table prints as "≥".
+        # Stdin is read as UTF-8, as a file is, whatever the stream encoding.
         problem = {
             "natures": [{"name": "n", "gum": [0.2, 1]}],
-            "schemes": [{"name": "a", "payoffs": [1]}, {"name": "b", "payoffs": [2]}],
+            "schemes": [{"name": "é", "payoffs": [1]}, {"name": "b", "payoffs": [2]}],
         }
-        proc = _gut_shell("decide", json.dumps(problem), "", PYTHONIOENCODING="ascii")
-        assert proc.returncode == 0 and proc.stderr == b""
-        assert "GEU2 ≥ GEU1".encode() in proc.stdout
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem, ensure_ascii=False), encoding="utf-8")
+        from_file = _gut_shell("decide", str(path), "", PYTHONIOENCODING=encoding)
+        from_stdin = _gut_shell(
+            "decide", "-", f"< {shlex.quote(str(path))}", PYTHONIOENCODING=encoding
+        )
+        for proc in (from_file, from_stdin):
+            assert proc.returncode == 0 and proc.stderr == b""
+        assert "GEU2 ≥ GEU1".encode() in from_file.stdout
+        assert "\né  ".encode() in from_file.stdout
+        assert from_stdin.stdout == from_file.stdout
+
+    def test_stdin_not_utf8_under_c_locale_usage_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(TestValidate.NOT_UTF8)
+        proc = _gut_shell("validate", "-", f"< {shlex.quote(str(path))}", LC_ALL="C")
+        self.assert_one_error_line(proc, 2)
+        assert proc.stderr == b"error: cannot read '-': not UTF-8 text\n"
 
     def test_stdout_closed_at_start_exit_one(self):
         proc = _gut_shell("cluster", json.dumps(self.CLUSTER), ">&-")

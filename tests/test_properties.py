@@ -621,6 +621,14 @@ class TestDecideMetamorphic:
     def test_selection_equals_three_scans_of_the_matrix(self, problem):
         report = decide(problem)
         assert _selection(report) == _three_scan_selection(problem, report)
+        # The table reads each rival off the column's rule; looking up the
+        # column's names gives the same texts.
+        names = report.scheme_names
+        assert list(decisions._comparisons(report)) == ["/"] + [
+            f"GEU{names.index(e.scheme) + 1} {decisions._SYMBOLS[e.relation]} "
+            f"GEU{names.index(e.versus) + 1}"
+            for e in report.comparison_column[1:]
+        ]
 
     @settings(max_examples=300)
     @given(tied_geu_lists(), st.sampled_from(ATTITUDES))
@@ -1065,15 +1073,24 @@ def test_json_rows_are_the_values_of_the_matrix(problem):
 # float (numpy.float64 is a float), finite unless the slot admits inf, and
 # never a bool, str, None, container or other numpy scalar.
 
+#: Nested deeper than the recursion limit, so its repr raises RecursionError.
+_DEEP: list = []
+for _ in range(100_000):
+    _DEEP = [_DEEP]
+
 HOSTILE = {
     "int-401-digits": 10**400, "-int-401-digits": -(10**400),
     # Longer than the interpreter's digit limit, so it has no repr.
     "int-5001-digits": 10**5000, "-int-5001-digits": -(10**5000), "str": "1", "bool": True,
     "None": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [],
+    "list-100000-deep": _DEEP,
     "numpy.float64": np.float64(0.5), "numpy.float32": np.float32(0.5),
     "numpy.int64": np.int64(1), "numpy.bool_": np.bool_(True),
 }
-REFUSED = ("str", "bool", "None", "list", "numpy.float32", "numpy.int64", "numpy.bool_")
+REFUSED = (
+    "str", "bool", "None", "list", "list-100000-deep", "numpy.float32", "numpy.int64",
+    "numpy.bool_",
+)
 
 _UNIT = GUInterval(0.25, 0.5)
 _NATURE = (NatureStatus("n", GUInterval(1.0, 1.0)),)
@@ -1176,10 +1193,12 @@ def test_numpy_float64_reads_as_its_float(slot):
 
 
 #: Calls that echo a value holding an int beyond the interpreter's digit
-#: limit, whose ``repr`` raises ``ValueError``: whole, in a list, in a dict.
+#: limit, whose ``repr`` raises ``ValueError``: whole, in a list, in a dict;
+#: and one that echoes a list nested too deeply to ``repr``.
 UNPRINTABLE = {
     "DistributionSpec.from_dict": lambda: DistributionSpec.from_dict({"mu": 10**5000}),
     "axiom_violations": lambda: axiom_violations(["a"], {"a": [10**5000]}),
+    "axiom_violations-deep-list": lambda: axiom_violations(["a"], {"a": _DEEP}),
     "Scheme-name": lambda: DecisionProblem(_NATURE, (Scheme(10**5000, ()),)),
     "decide-survivor-name": lambda: decide(
         DecisionProblem(_NATURE, (Scheme(10**5000, (1.0,)), Scheme("s", (1.0,))))
