@@ -35,7 +35,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, repeat
 
 from .algorithms import DistributionSpec, _draw, classify
 from .decisions import (
@@ -124,25 +124,19 @@ _encode_str = json.encoder.encode_basestring_ascii
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(texts: list[str]) -> list[str]:
-    """Each ``.12g`` text of a float spelled as ``json`` spells the float's
-    12-digit rounding.  A text with a point and no exponent already is that
-    spelling: 12 digits survive the trip through a double, and ``repr``
-    uses fixed notation wherever ``.12g`` does."""
-    return [
-        t if "." in t and "e" not in t else _FLOAT_WORDS.get(t) or float.__repr__(float(t))
-        for t in texts
-    ]
-
-
 def _join_floats(part, sep: str) -> str:
     """The JSON texts of the floats of ``part`` joined by ``sep``.  One
-    ``%`` call formats the whole slice in C.  When every text has a point
-    and none an exponent, the joined text is already JSON; otherwise each
-    text is spelled again only where :func:`_float_texts` must."""
+    ``%`` call formats the whole slice in C.  A ``.12g`` text with a point
+    and no exponent already is ``json``'s spelling of the float's 12-digit
+    rounding: 12 digits survive the trip through a double, and ``repr``
+    uses fixed notation wherever ``.12g`` does.  When some text is not, the
+    slice is split and only such texts are spelled again."""
     text = sep.join(["%.12g"] * len(part)) % tuple(part)
     if text.count(".") != len(part) or "e" in text:
-        text = sep.join(_float_texts(text.split(sep)))
+        text = sep.join([
+            t if "." in t and "e" not in t else _FLOAT_WORDS.get(t) or float.__repr__(float(t))
+            for t in text.split(sep)
+        ])
     return text
 
 
@@ -157,18 +151,17 @@ _BLOCK = 1 << 16
 def _flat_joiner(values):
     """A function from a slice of ``values`` and a separator to the JSON
     texts of the slice's elements joined by it, when every element has the
-    same scalar type, else None."""
+    same scalar type and, for texts, each encodes to itself in quotes, else
+    None."""
     if isinstance(values[0], str):
-        # Each distinct text is encoded once: a relation matrix row repeats
+        # Each distinct text is checked once: a relation matrix row repeats
         # seven texts.  A member that is unhashable, or not a str, raises.
         try:
-            encoded = {text: _encode_str(text) for text in set(values)}
+            if all(_encode_str(text)[1:-1] == text for text in set(values)):
+                return lambda part, sep: '"' + f'"{sep}"'.join(part) + '"'
         except TypeError:
-            return None
-        if all(code[1:-1] == text for text, code in encoded.items()):
-            # Each text encodes to itself in quotes: one join quotes all.
-            return lambda part, sep: '"' + f'"{sep}"'.join(part) + '"'
-        return lambda part, sep: sep.join(map(encoded.__getitem__, part))
+            pass
+        return None
     # A memoryview holds doubles, as generate's elements do: none to scan.
     kinds = {float} if isinstance(values, memoryview) else set(map(type, values))
     if kinds == {float}:
@@ -186,39 +179,36 @@ def _json_pieces(obj, pad: str = ""):
     more for a large member, and one per ``_SLICE`` elements of a flat
     list, so a caller can write a large report without holding all of it.
     An iterator's members are read one at a time, as its pieces are, so a
-    caller that hands over a generator of rows never holds them all; an
-    empty iterator prints ``[]``."""
-    if isinstance(obj, Iterator) or isinstance(obj, (dict, list, tuple, memoryview)) and obj:
+    caller that hands over a generator of rows never holds them all."""
+    # A text is tested first: it is the commonest member, and the test of
+    # the ``Iterator`` ABC below is slower than a class check.
+    if isinstance(obj, str):
+        yield _encode_str(obj)
+    elif isinstance(obj, (dict, list, tuple, memoryview, Iterator)):
         inner = pad + "  "
         sep = ",\n" + inner
+        join = _flat_joiner(obj) if isinstance(obj, (list, tuple, memoryview)) and obj else None
+        if join is not None:
+            for start in range(0, len(obj), _SLICE):
+                opening = sep if start else "[\n" + inner
+                closing = f"\n{pad}]" if start + _SLICE >= len(obj) else ""
+                yield opening + join(obj[start:start + _SLICE], sep) + closing
+            return
         if isinstance(obj, dict):
-            opening = "{\n" + inner
-            for key, value in obj.items():
-                pieces = _json_pieces(value, inner)
-                yield f"{opening}{_encode_str(key)}: {next(pieces)}"
-                yield from pieces
-                opening = sep
-            yield f"\n{pad}}}"
-            return
-        join = None if isinstance(obj, Iterator) else _flat_joiner(obj)
-        if join is None:
-            opening = "[\n" + inner
-            for value in obj:
-                pieces = _json_pieces(value, inner)
-                yield opening + next(pieces)
-                yield from pieces
-                opening = sep
-            # Only an iterator can turn out to be empty here.
-            yield f"\n{pad}]" if opening is sep else "[]"
-            return
-        for start in range(0, len(obj), _SLICE):
-            opening = sep if start else "[\n" + inner
-            closing = f"\n{pad}]" if start + _SLICE >= len(obj) else ""
-            yield opening + join(obj[start:start + _SLICE], sep) + closing
-    elif isinstance(obj, str):
-        yield _encode_str(obj)
+            opening, closing = "{\n" + inner, "}"
+            members = ((f"{_encode_str(key)}: ", value) for key, value in obj.items())
+        else:
+            opening, closing = "[\n" + inner, "]"
+            members = zip(repeat(""), obj)
+        for key, value in members:
+            pieces = _json_pieces(value, inner)
+            yield opening + key + next(pieces)
+            yield from pieces
+            opening = sep
+        # An empty container prints its brackets on one line.
+        yield f"\n{pad}{closing}" if opening is sep else opening[0] + closing
     elif isinstance(obj, float):
-        yield _float_texts(["%.12g" % obj])[0]
+        yield _join_floats((obj,), ",")
     elif obj is None:
         yield "null"
     elif obj is True:
@@ -227,8 +217,6 @@ def _json_pieces(obj, pad: str = ""):
         yield "false"
     elif isinstance(obj, int):
         yield int.__repr__(obj)
-    elif isinstance(obj, (dict, list, tuple, memoryview)):
-        yield "{}" if isinstance(obj, dict) else "[]"
     else:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -263,12 +251,11 @@ def _run_cluster(document: dict, args: argparse.Namespace) -> tuple[Iterable[str
     # JSON has no infinity to echo in the report.
     delta = document["delta"] if args.delta is None else args.delta
     delta = _real(delta, IntervalError, "delta must be finite and nonnegative, got ", 0.0)
-    items = document["items"]
-    if args.format == "json":
-        return _json_pieces({"delta": delta, "classes": classify(items, delta)}), None
     # The table prints the intervals that classify checks: convert them once.
-    items = [as_interval(item) for item in items]
+    items = [as_interval(item) for item in document["items"]]
     classes = classify(items, delta)
+    if args.format == "json":
+        return _json_pieces({"delta": delta, "classes": classes}), None
     lines = (
         f"\nclass {k}: " + ", ".join(f"{i} {items[i]}" for i in members)
         for k, members in enumerate(classes, 1)

@@ -56,7 +56,7 @@ from enum import Enum, unique
 from itertools import accumulate, islice
 from operator import itemgetter
 
-from .errors import AttitudeRequiredError, ValidationError, brief, brief_repr
+from .errors import CONTROLS, AttitudeRequiredError, ValidationError, brief, brief_repr
 from .intervals import (
     DEFAULT_TOLERANCE,
     _TOLERANCE,
@@ -478,8 +478,9 @@ def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[
     """The text of :func:`render_decision_table`, one line at a time.  A
     first pass keeps only each column's width; a second prints each
     scheme's row with one ``%`` call, so no row, cell or line is held
-    beyond the one being written."""
-    header = ["/", *(n.name for n in problem.natures), "GEU", "Comparison"]
+    beyond the one being written.  A name prints each control character as
+    ``repr`` escapes it, so a row stays on its line."""
+    header = ["/", *(n.name.translate(CONTROLS) for n in problem.natures), "GEU", "Comparison"]
     gum = ["GUM", *(_fmt_interval(n.gum) for n in problem.natures), "/", "/"]
     # Payoff and GEU texts are ASCII, and a comparison's one other
     # character, its relation symbol, prints one column, so ``len`` is each
@@ -489,7 +490,7 @@ def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[
     for scheme in problem.schemes:
         payoffs = list(map(max, payoffs, map(len, map("%g".__mod__, scheme.payoffs))))
     body = [
-        max(_width(s.name) for s in problem.schemes),
+        max(_width(s.name.translate(CONTROLS)) for s in problem.schemes),
         *payoffs,
         max(map(len, map(_fmt_interval, report.geus))),
         max(map(len, _comparisons(report))),
@@ -505,16 +506,16 @@ def _table_pieces(problem: DecisionProblem, report: DecisionReport) -> Iterator[
     # comparison, the last cell, not at all, so the line ends in no spaces.
     row = "\n%-*s" + "".join(f"  %-{w}g" for w in widths[1:-2]) + f"  %-{widths[-2]}s  %s"
     for scheme, interval, comparison in zip(problem.schemes, report.geus, _comparisons(report)):
-        name = scheme.name
+        name = scheme.name.translate(CONTROLS)
         yield row % (
             widths[0] + len(name) - _width(name), name, *scheme.payoffs,
             _fmt_interval(interval), comparison,
         )
-    yield f"\n\nselected: {report.selected} ({report.rationale.value})"
+    yield f"\n\nselected: {report.selected.translate(CONTROLS)} ({report.rationale.value})"
     if report.attitude:
         yield f"\nattitude: {report.attitude}"
     if report.note:
-        yield f"\nnote: {report.note}"
+        yield f"\nnote: {report.note.translate(CONTROLS)}"
 
 
 def render_decision_table(problem: DecisionProblem, report: DecisionReport) -> str:

@@ -12,6 +12,11 @@ from collections.abc import Iterable
 #: How many characters of an input value or name an error message shows.
 SHOWN = 80
 
+#: Each C0 character, DEL and each C1 character as ``repr`` escapes it, for
+#: ``str.translate``: a name printed through it stays on its line and sends
+#: the terminal no control.
+CONTROLS = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0))}
+
 
 def brief(text: str) -> str:
     """``text`` cut to :data:`SHOWN` characters, so an error line stays short."""

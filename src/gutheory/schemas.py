@@ -30,7 +30,7 @@ import re
 
 from .algorithms import FAMILIES, MAX_DISTRIBUTIONS, MAX_K
 from .decisions import ATTITUDES
-from .errors import brief, brief_repr
+from .errors import CONTROLS, brief, brief_repr
 from .spaces import MODES
 
 _DRAFT = "https://json-schema.org/draft/2020-12/schema"
@@ -153,7 +153,6 @@ _ANNOTATIONS = ("$schema", "title")
 #: Keywords that hold member schemas, or that only "if" reads.
 _APPLIED = ("properties", "prefixItems", "then")
 _PLAIN_NAME = re.compile("[a-zA-Z][a-zA-Z0-9_]*")
-_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 def _is_type(value, name: str) -> bool:
@@ -304,10 +303,9 @@ def _member_path(path: str, key: str) -> str:
     key = brief(key)
     if _PLAIN_NAME.fullmatch(key):
         return f"{path}.{key}"
-    quoted = key.replace("\\", "\\\\").replace("'", "\\'")
     # Control characters are escaped as repr escapes them, so the path,
     # and the error line that shows it, stays on one line.
-    quoted = _CONTROL.sub(lambda m: repr(m[0])[1:-1], quoted)
+    quoted = key.replace("\\", "\\\\").replace("'", "\\'").translate(CONTROLS)
     return f"{path}['{quoted}']"
 
 

@@ -180,6 +180,38 @@ class TestDecide:
         assert err.count("\n") == 1
         assert err.endswith("needed to choose among 'x\\ny', 'z'\n")
 
+    def test_table_escapes_control_characters_in_names(self, capsys):
+        """A name's C0 and C1 characters and DEL print as ``repr`` escapes
+        them, so each row stays on its line and the columns line up; the
+        JSON report keeps the names as they are."""
+        tails = ["\t1", "\n2", "\x1b[31m3", "\x7f4", "\x85 5"]
+        natures = ["n" + tail for tail in tails]
+        schemes = ["S" + tail for tail in tails]
+        document = {
+            "natures": [{"name": name, "gum": [0.1, 0.2]} for name in natures],
+            # Equal payoffs tie every scheme, so the note names them all.
+            "schemes": [{"name": name, "payoffs": [1, 2, 3, 4, 5]} for name in schemes],
+        }
+        argv = ["decide", "--input", json.dumps(document), "--attitude", "averse"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert not [c for c in out if c != "\n" and (c < " " or "\x7f" <= c <= "\x9f")]
+        escaped = [repr(name)[1:-1] for name in schemes]
+        lines = out.splitlines()
+        rows = lines[2:2 + len(schemes)]
+        assert [row.split("  ")[0] for row in rows] == escaped
+        assert lines[2 + len(schemes)] == ""
+        assert all(repr(name)[1:-1] in lines[0] for name in natures)
+        assert {lines[0].index("  GEU  ") + 2} == {row.rindex("[") for row in rows}
+        assert lines[-3] == f"selected: {escaped[0]} (RiskAverseMinGud)"
+        assert lines[-1] == (
+            f"note: uncertainty degree tie between {', '.join(escaped)}; earliest scheme kept"
+        )
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["schemes"] == schemes and report["selected"] == schemes[0]
+        assert report["note"].endswith(f"between {', '.join(schemes)}; earliest scheme kept")
+
     @pytest.mark.parametrize(
         "natures, schemes",
         [

@@ -120,8 +120,8 @@ def test_float_lists_around_the_slice_size(n):
 @pytest.mark.parametrize("where", [0, _SLICE - 1, _SLICE, 2 * _SLICE + 2])
 @pytest.mark.parametrize("container", [list, tuple])
 def test_one_slice_needs_escaping(text, where, container):
-    """Every other slice holds only texts that print as themselves in
-    quotes, which the writer joins whole."""
+    """One text needs an escape, so the writer prints the list member by
+    member, not as joined slices."""
     values = [("Equal", "WeaklyGreater", "")[i % 3] for i in range(2 * _SLICE + 3)]
     values[where] = f"a{text}b"
     payload = {"rows": [container(values), container(values[:5])]}
